@@ -24,7 +24,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
     Counter instrs = opts.instructions;
     Counter warmup = opts.resolvedWarmup();
     SweepRunner runner = makeRunner(opts);

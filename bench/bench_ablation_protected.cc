@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Ablation: protected TLB slots (16 reserved vs none)");
     std::cout << "caches: 64KB/1MB, 64/128B lines; 128-entry TLBs\n\n";

@@ -17,7 +17,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Ablation: TLB replacement policy (paper: random)");
     std::cout << "caches: 64KB/1MB, 64/128B lines; 128-entry TLBs\n\n";

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Ablation: split vs unified L2 (equal total capacity)");
     std::cout << "caches: 64KB L1 per side, 64/128B lines; split = "

@@ -9,6 +9,7 @@
 #ifndef VMSIM_BENCH_BENCH_COMMON_HH
 #define VMSIM_BENCH_BENCH_COMMON_HH
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,6 +18,32 @@
 
 namespace vmsim::bench
 {
+
+/** @name Bench exit statuses
+ *  0 is success, a partial cell failure included (the failed cells are
+ *  the isolation working); kExitInterrupted (75) is a drained SIGINT or
+ *  SIGTERM. @{ */
+constexpr int kExitUsage = 2;       ///< malformed or unknown flag
+constexpr int kExitCellsFailed = 3; ///< every sweep cell failed
+/** @} */
+
+/**
+ * BenchOptions::parse() for a bench main: on a malformed or unknown
+ * flag, print the message and exit kExitUsage instead of letting the
+ * exception escape main() and abort.
+ */
+inline BenchOptions
+parseBenchOptions(int argc, char **argv)
+{
+    try {
+        return BenchOptions::parse(argc, argv);
+    } catch (const VmsimError &e) {
+        std::cerr << "error: " << e.what() << '\n';
+    } catch (const FatalError &) {
+        // fatal() has already printed the message.
+    }
+    std::exit(kExitUsage);
+}
 
 /** The five headline VM organizations of the paper's figures. */
 inline const std::vector<SystemKind> &
@@ -106,9 +133,10 @@ makeRunner(const BenchOptions &opts)
 }
 
 /**
- * Report failed cells to stderr after a sweep. Returns the number of
- * failures so mains can choose their exit status (bench binaries keep
- * exiting 0: a marked-failed cell is the isolation working).
+ * Report failed cells to stderr after a sweep and return how many
+ * failed. runSweep() turns "every cell failed" into kExitCellsFailed;
+ * a partial failure keeps exit status 0, because a marked-failed cell
+ * is the isolation working.
  */
 inline std::size_t
 reportFailures(const SweepResults &res)
@@ -125,6 +153,17 @@ reportFailures(const SweepResults &res)
                       << " attempts): " << o.error.toString() << '\n';
     }
     return failed;
+}
+
+/**
+ * reportFailures(), then exit kExitCellsFailed when every cell of a
+ * non-empty sweep failed: its tables would hold nothing but zeros.
+ */
+inline void
+exitIfAllFailed(const SweepResults &res)
+{
+    if (reportFailures(res) == res.size() && res.size() > 0)
+        std::exit(kExitCellsFailed);
 }
 
 /**
@@ -155,7 +194,7 @@ runShardedSweep(const BenchOptions &opts, const SweepSpec &spec)
         std::exit(kExitInterrupted);
     }
     ShardMerge merged = mergeShardDir(opts.shardDir, spec).orThrow();
-    reportFailures(merged.results);
+    exitIfAllFailed(merged.results);
     return std::move(merged.results);
 }
 
@@ -194,7 +233,7 @@ runSweep(const BenchOptions &opts, const SweepSpec &spec)
                "and rerun on --resume");
         std::exit(kExitInterrupted);
     }
-    reportFailures(res);
+    exitIfAllFailed(res);
     return res;
 }
 

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     const Counter quanta[] = {0, 1'000'000, 250'000, 50'000, 10'000};
     const std::vector<SystemKind> kinds = {

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Figure 10-style (reconstructed): VMCPI + interrupt "
            "overhead vs L1 size");

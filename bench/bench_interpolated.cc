@@ -25,7 +25,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Interpolated organizations (paper Section 4.2): measured "
            "headline systems + hardware/table recombinations");

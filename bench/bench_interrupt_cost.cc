@@ -27,7 +27,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Interrupt-cost sweep (paper Section 4.3, reconstructed): "
            "interrupt CPI vs VMCPI");

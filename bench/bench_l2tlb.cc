@@ -25,7 +25,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     const unsigned sizes[] = {0, 256, 512, 1024, 2048};
     const std::size_t hitrate_at = 3; // variant index of 1024 entries

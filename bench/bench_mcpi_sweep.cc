@@ -23,7 +23,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("MCPI components and VM-inflicted excess (64/128-byte "
            "linesizes)");

@@ -292,8 +292,9 @@ BENCHMARK(BM_SimulatorRunBatched)
 
 /**
  * Time one full System::run() of @p instrs instructions and return
- * instrs/sec. @p batch selects the loop (1 = scalar); a non-null
- * @p recorded replays the shared recording instead of generating.
+ * instrs/sec. @p batch is the block size (1 = one-record blocks); a
+ * non-null @p recorded replays the shared recording instead of
+ * generating.
  */
 double
 pipelineInstrsPerSec(Counter instrs, std::size_t batch,

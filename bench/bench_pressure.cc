@@ -128,7 +128,7 @@ main(int argc, char **argv)
         else
             args.push_back(argv[i]);
     }
-    BenchOptions opts = BenchOptions::parse(
+    BenchOptions opts = parseBenchOptions(
         static_cast<int>(args.size()), args.data());
 
     std::vector<std::uint64_t> budgets_mb = opts.physMbList;

@@ -18,7 +18,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
     // This bench only smoke-tests each point.
     Counter instrs = std::min<Counter>(opts.instructions, 20000);
 

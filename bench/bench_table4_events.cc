@@ -45,7 +45,7 @@ main(int argc, char **argv)
 {
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Table 2: components of MCPI");
     TextTable t2;

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     using namespace vmsim;
     using namespace vmsim::bench;
 
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner("Total VM overhead vs BASE (paper Section 4.4, "
            "reconstructed)");

@@ -21,7 +21,7 @@ inline int
 runBreakdownSweep(const std::string &figure, const std::string &workload,
                   int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner(figure + ": VMCPI break-downs (64/128-byte L1/L2 linesizes) "
                     "- " +

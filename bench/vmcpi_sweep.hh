@@ -22,7 +22,7 @@ inline int
 runVmcpiSweep(const std::string &figure, const std::string &workload,
               int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = parseBenchOptions(argc, argv);
 
     banner(figure + ": VMCPI vs cache organization - " + workload);
     std::cout << "instructions/point=" << opts.instructions

@@ -12,8 +12,8 @@
  *   --trace=PATH          VMT1 trace file (overrides --workload)
  *   --instructions=N      measured instructions         [2000000]
  *   --warmup=N            warmup instructions           [instructions/4]
- *   --batch=N             trace-fetch batch size
- *                         (1 = scalar loop)             [4096]
+ *   --batch=N             trace-fetch block size
+ *                         (1 = one-record blocks)       [4096]
  *   --l1=BYTES            L1 size per side              [65536]
  *   --l1-line=BYTES       L1 line size                  [64]
  *   --l2=BYTES            L2 size per side              [1048576]
@@ -446,7 +446,7 @@ runCli(int argc, char **argv)
         else if (matches(arg, "--batch=")) {
             batch = numArg(arg, "--batch=");
             fatalIf(batch == 0,
-                    "--batch must be positive (1 = scalar loop)");
+                    "--batch must be positive (1 = one-record blocks)");
         } else if (std::strcmp(arg, "--check") == 0)
             check = true;
         else if (matches(arg, "--fuzz=")) {

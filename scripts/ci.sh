@@ -51,9 +51,9 @@ for bench in build/bench/bench_*; do
 done
 
 echo "== batched pipeline determinism =="
-# The trace cache and batched loop must not change a single output
-# byte: the same grid with the cache off (and once more scalar+serial)
-# must reproduce the cached parallel CSV exactly.
+# The trace cache and the block size must not change a single output
+# byte: the same grid with the cache off (and once more serial, with
+# one-record blocks) must reproduce the cached parallel CSV exactly.
 build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
     --warmup=5000 --jobs=2 > "$SMOKE_DIR/fig6_cached.csv"
 build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
@@ -66,9 +66,9 @@ cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_uncached.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_scalar.csv"
 
 echo "== multicore determinism =="
-# The quantum scheduler keeps scalar/batched and serial/parallel runs
-# bit-identical at four cores, and bench_micro's multicore report must
-# materialize alongside the pipeline artifact.
+# The quantum scheduler keeps every block size and serial/parallel
+# runs bit-identical at four cores, and bench_micro's multicore report
+# must materialize alongside the pipeline artifact.
 build/bench/bench_multicore --csv --instructions=20000 --warmup=5000 \
     --core-quantum=2000 --jobs=2 > "$SMOKE_DIR/mc_parallel.csv"
 build/bench/bench_multicore --csv --instructions=20000 --warmup=5000 \
@@ -129,7 +129,7 @@ build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
     --warmup=5000 --jobs=2 --reclaim=lru \
     > "$SMOKE_DIR/fig6_noflag_pressure.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_noflag_pressure.csv"
-# Budgeted runs keep the scalar/batched/parallel bit-identity promise.
+# Budgeted runs keep the block-size/parallel bit-identity promise.
 build/bench/bench_pressure --csv --instructions=20000 --warmup=5000 \
     --jobs=2 --pressure-json="$SMOKE_DIR/pressure_parallel.json" \
     > "$SMOKE_DIR/pressure_parallel.csv"
@@ -264,6 +264,14 @@ for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh; do
         exit 1
     fi
 done
+# The simulator drives every organization through refBlock() alone:
+# a per-reference virtual instRef/dataRef call creeping back into its
+# one loop would bypass the block kernels.
+if grep -nE '(\.|->)(instRef|dataRef)\(' src/core/simulator.cc; then
+    echo "kernel lint: instRef/dataRef call in src/core/simulator.cc" \
+         "(drive organizations through refBlock)" >&2
+    exit 1
+fi
 # The flat data-layout files must never regrow a node-based map
 # (matching real uses — instantiations and includes — not prose in
 # comments that explains what the flat layout replaced).

@@ -263,8 +263,9 @@ DiffRunner::runCase(const FuzzTuple &t) const
         return leg;
     };
 
-    // Every strategy must match the scalar loop: same counters on
-    // success, same error classification on (injected) failure.
+    // Every strategy must match one-record blocks (the "scalar" leg):
+    // same counters on success, same error classification on
+    // (injected) failure.
     auto compareLegs = [&](const Leg &ref, const Leg &leg,
                            const std::string &phase) {
         CheckReport sub;

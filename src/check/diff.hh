@@ -3,14 +3,15 @@
  * Differential fuzzing across execution strategies.
  *
  * The simulator promises that its execution strategies are
- * observationally equivalent: scalar vs batched loops, generated vs
- * cached-replay traces, observed vs unobserved runs must all produce
- * bit-identical counter vectors, and injected faults must fail every
- * strategy identically. DiffRunner hammers that promise with seeded
- * random (organization, workload, config, batch, context-switch,
- * ASID, fault) tuples, audits every successful leg with the
- * InvariantChecker, shrinks failing tuples to a minimal reproducer,
- * and reports them as a deterministic JSON artifact.
+ * observationally equivalent: one-record vs larger blocks of the
+ * simulation loop, generated vs cached-replay traces, observed vs
+ * unobserved runs must all produce bit-identical counter vectors, and
+ * injected faults must fail every strategy identically. DiffRunner
+ * hammers that promise with seeded random (organization, workload,
+ * config, batch, context-switch, ASID, fault) tuples, audits every
+ * successful leg with the InvariantChecker, shrinks failing tuples to
+ * a minimal reproducer, and reports them as a deterministic JSON
+ * artifact.
  */
 
 #ifndef VMSIM_CHECK_DIFF_HH
@@ -103,8 +104,9 @@ class DiffRunner
     FuzzTuple generate(std::uint64_t index) const;
 
     /**
-     * Run one tuple through every leg: scalar reference, batched,
-     * observed (+ full invariant audit), cached replay, and — for
+     * Run one tuple through every leg: the "scalar" reference
+     * (one-record blocks), batched (the tuple's block size), observed
+     * (+ full invariant audit), cached replay, and — for
      * warmup-free fault-free tuples — the live-TLB laws. Violation
      * law names are prefixed with the failing leg.
      */

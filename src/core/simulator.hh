@@ -41,20 +41,21 @@ defaultWarmup(Counter instrs)
 /**
  * Drives a VmSystem from a TraceSource, exactly as the paper's
  * pseudocode: the VM system interposes its TLB lookups and page-table
- * walks around the cache accesses. Instructions are fetched from the
- * source in batches (one virtual call per batch instead of per
- * instruction); batches are split at run ends and context-switch
- * points so the executed stream — including every event, interval
- * sample, and statistic — is bit-identical to the one-at-a-time loop,
- * which remains available via setBatchSize(1).
+ * walks around the cache accesses. There is one loop: it fetches
+ * blocks of consecutive records (at most batchSize() each) and hands
+ * each to the organization's refBlock() with one virtual call. Blocks
+ * split at the end of the run, at context-switch points, at the core
+ * quantum and at the interval sampler's next boundary, so sampler
+ * ticks and switches happen only at a block head, and every counter,
+ * event and interval sample is the same at any block size, down to
+ * one-record blocks (setBatchSize(1)).
  *
  * The multicore form takes one TraceSource per simulated core and
  * interleaves them round-robin: each core runs core_quantum
- * instructions, then the scheduler rotates. Batches are additionally
- * split at quantum boundaries, so the scalar and batched multicore
- * paths execute the identical global instruction stream. Interval
- * samples and event stamps use the global instruction timebase, never
- * a core-local count.
+ * instructions, then the scheduler rotates. A single source is the
+ * one-core case with an unbounded quantum. Interval samples and event
+ * stamps use the global instruction timebase, never a core-local
+ * count.
  */
 class Simulator
 {
@@ -76,8 +77,8 @@ class Simulator
      * (all non-null, one or more entries; not owned). The scheduler
      * runs @p core_quantum instructions per core before rotating to
      * the next. With a single source this is exactly the single-core
-     * simulator. Context switches fire on the global timebase and
-     * target whichever core is current.
+     * simulator (the quantum is then ignored). Context switches fire
+     * on the global timebase and target whichever core is current.
      */
     Simulator(VmSystem &vm, const std::vector<TraceSource *> &sources,
               Counter ctx_switch_interval, Counter core_quantum);
@@ -100,9 +101,8 @@ class Simulator
     void attachSampler(IntervalSampler *sampler) { sampler_ = sampler; }
 
     /**
-     * Cooperative cancellation: run() polls @p token at batch
-     * boundaries (every ~2K instructions on the scalar path) and
-     * throws VmsimError(Canceled) when it becomes true. The watchdog
+     * Cooperative cancellation: run() polls @p token at every block
+     * head and throws VmsimError(Canceled) when it becomes true. The watchdog
      * in SweepRunner uses this to reclaim runaway cells. Not owned;
      * nullptr detaches.
      */
@@ -117,9 +117,9 @@ class Simulator
     void setProgress(std::atomic<Counter> *counter) { progress_ = counter; }
 
     /**
-     * Records fetched per TraceSource::nextBatch() call. @p n <= 1
-     * selects the reference one-instruction-at-a-time loop; results
-     * are identical either way.
+     * Largest block, in records, fetched per TraceSource::nextBatch()
+     * call; @p n <= 1 runs one-record blocks. Results are identical at
+     * every size.
      */
     void setBatchSize(std::size_t n) { batch_ = n; }
 
@@ -129,11 +129,6 @@ class Simulator
     CoreId currentCore() const { return curCore_; }
 
   private:
-    Counter runScalar(Counter max_instrs);
-    Counter runBatched(Counter max_instrs);
-    Counter runScalarMc(Counter max_instrs);
-    Counter runBatchedMc(Counter max_instrs);
-
     /** Publish @p done instructions to the progress counter, if any. */
     void
     noteProgress(Counter done)
@@ -158,14 +153,14 @@ class Simulator
     Counter sinceSwitch_ = 0;
     Counter executed_ = 0;
     CoreId curCore_ = 0;
-    Counter coreQuantum_ = 0;      ///< instructions per scheduling slot
+    Counter coreQuantum_ = 0;      ///< per scheduling slot; 0 = one core
     Counter quantumUsed_ = 0;      ///< used within the current slot
     Counter quantumCredited_ = 0;  ///< part already in per-core stats
     IntervalSampler *sampler_ = nullptr;
     const std::atomic<bool> *cancel_ = nullptr;
     std::atomic<Counter> *progress_ = nullptr;
     std::size_t batch_ = kDefaultBatch;
-    std::vector<TraceRecord> buf_; ///< batch staging (lazily sized)
+    std::vector<TraceRecord> buf_; ///< block staging (lazily sized)
 };
 
 /**
@@ -253,8 +248,8 @@ class System
     void attachLatency(LatencyCollector *lat) { latency_ = lat; }
 
     /**
-     * Trace-fetch batch size for every subsequent run(); 0 keeps the
-     * Simulator default (kDefaultBatch), 1 forces the scalar loop.
+     * Trace-fetch block size for every subsequent run(); 0 keeps the
+     * Simulator default (kDefaultBatch), 1 runs one-record blocks.
      */
     void setBatchSize(std::size_t n) { batch_ = n; }
 
@@ -351,7 +346,7 @@ struct RunHooks
      */
     std::function<void(const Results &)> audit;
 
-    /** Trace-fetch batch size; 0 = default, 1 = scalar loop. */
+    /** Trace-fetch block size; 0 = default, 1 = one-record blocks. */
     std::size_t batch = 0;
 };
 

@@ -167,7 +167,7 @@ BenchOptions::parse(int argc, char **argv)
         } else if (std::strncmp(arg, "--batch=", 8) == 0) {
             opts.batch = parseU64(arg + 8, "--batch").orThrow();
             fatalIf(opts.batch == 0,
-                    "--batch must be positive (1 = scalar loop)");
+                    "--batch must be positive (1 = one-record blocks)");
         } else if (std::strncmp(arg, "--trace-cache-mb=", 17) == 0) {
             opts.traceCacheMb =
                 parseU64(arg + 17, "--trace-cache-mb").orThrow();

@@ -150,7 +150,7 @@ struct ObsOptions
  *   --journal=F        checkpoint completed cells to JSONL file F
  *   --resume           skip cells already completed in the journal
  *   --inject-faults=S  fault spec, e.g. corrupt=0.01,throw=0.01,seed=7
- *   --batch=N          trace-fetch batch size (1 = scalar loop)
+ *   --batch=N          trace-fetch block size (1 = one-record blocks)
  *   --trace-cache-mb=N shared recorded-trace cache budget in MiB
  *                      (default 256; 0 disables the cache)
  *   --cores=N          simulated cores sharing the page table
@@ -751,9 +751,9 @@ class SweepRunner
     }
 
     /**
-     * Trace-fetch batch size for every cell's simulation loop;
-     * 0 = Simulator default, 1 = the scalar reference loop. Results
-     * are identical either way.
+     * Trace-fetch block size for every cell's simulation loop;
+     * 0 = Simulator default, 1 = one-record blocks. Results are
+     * identical at every size.
      */
     SweepRunner &
     batchSize(std::size_t n)

@@ -56,9 +56,9 @@ struct IntervalSummary
 
 /**
  * Snapshots Results deltas every N instructions. Attach to a System
- * (or a Simulator) before running; the driver calls tick() at each
- * instruction boundary and finish() at the end of the run. The
- * per-instruction cost while attached is one comparison.
+ * (or a Simulator) before running; the driver calls tick() at the
+ * first instruction and at every boundary nextBoundary() names, and
+ * finish() at the end of the run.
  */
 class IntervalSampler
 {
@@ -97,6 +97,18 @@ class IntervalSampler
         }
         if (instr - start_ >= interval_)
             close(instr, vm);
+    }
+
+    /**
+     * The instruction at which the interval open after tick(@p instr)
+     * closes. A driver that ticks only at block heads ends each block
+     * there, so every boundary falls on a head.
+     */
+    Counter
+    nextBoundary(Counter instr) const
+    {
+        return started_ && instr - start_ < interval_ ? start_ + interval_
+                                                      : instr + interval_;
     }
 
     /** End of run at @p instr: closes the final partial interval. */

@@ -40,11 +40,12 @@ void
 VmSystem::refBlock(const AccessBlock &blk)
 {
     // Fallback for organizations without a devirtualized override:
-    // same order as the scalar loop, through the vtable.
+    // the same per-record order, through the vtable.
     Access a;
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
         const TraceRecord &r = blk.recs[i];
+        setCurrentInstr(blk.first + i);
         a.addr = r.pc;
         a.store = false;
         instRef(a);

@@ -4,11 +4,12 @@
  * organizations, plus the handler-layout constants and event counters
  * shared by all of them.
  *
- * A VmSystem receives the application's reference stream — an Access
- * per instruction fetch (instRef) and per load/store (dataRef) — and
- * performs whatever TLB lookups, page-table walks, handler executions
- * and cache accesses its organization requires, mirroring the paper's
- * fundamental simulator algorithm (Section 3.1):
+ * A VmSystem receives the application's reference stream — blocks of
+ * trace records (refBlock), each an instruction fetch plus, for loads
+ * and stores, a data access — and performs whatever TLB lookups,
+ * page-table walks, handler executions and cache accesses its
+ * organization requires, mirroring the paper's fundamental simulator
+ * algorithm (Section 3.1):
  *
  *     while (i = get_next_instruction()) {
  *         if (itlb_miss(i->pc)) {
@@ -92,15 +93,17 @@ struct Access
 
 /**
  * A block of consecutive instructions from one core's stream — the
- * unit of the devirtualized batched dispatch path. The records are
+ * unit the simulator drives every organization with. The records are
  * borrowed, not owned; the whole block belongs to a single core (the
- * simulator splits blocks at scheduling boundaries).
+ * simulator splits blocks at scheduling boundaries). Observed kernels
+ * stamp events of record i with instruction number first + i.
  */
 struct AccessBlock
 {
     const TraceRecord *recs = nullptr;
-    std::size_t n = 0;
+    std::uint32_t n = 0; ///< record count (32 bits keeps the block 3 words)
     CoreId core = 0;
+    Counter first = 0;   ///< global instruction number of recs[0]
 };
 
 /**
@@ -242,7 +245,13 @@ class VmSystem
     VmSystem(const VmSystem &) = delete;
     VmSystem &operator=(const VmSystem &) = delete;
 
-    /** Process one application instruction fetch (a.addr is the PC). */
+    /**
+     * Process one application instruction fetch (a.addr is the PC).
+     * instRef()/dataRef() are single-reference entry points for callers
+     * that need one reference on its own (unit tests, the Table 4 event
+     * bench); the Simulator drives organizations only through
+     * refBlock().
+     */
     virtual void instRef(const Access &a) = 0;
 
     /** Process one application load/store described by @p a. */
@@ -251,11 +260,11 @@ class VmSystem
     /**
      * Process one block of application instructions: for each record,
      * the fetch, then the data access for loads/stores — exactly the
-     * sequence of scalar instRef()/dataRef() calls, so counters and
-     * events are bit-identical. The default loops over the virtual
-     * calls; concrete organizations override with refBlockFor() so the
-     * batched simulator pays vtable dispatch once per block instead
-     * of twice per instruction.
+     * sequence of instRef()/dataRef() calls, so counters and events are
+     * bit-identical. The default loops over the virtual calls; concrete
+     * organizations override with refBlockFor() (or TlbVm's kernels) so
+     * the simulator pays vtable dispatch once per block instead of
+     * twice per instruction.
      */
     virtual void refBlock(const AccessBlock &blk);
 
@@ -350,10 +359,11 @@ class VmSystem
     LatencyCollector *latency() const { return lat_; }
 
     /**
-     * Timebase for emitted events: the driving Simulator stamps the
-     * current user-instruction number here before each instruction
-     * (only while a sink is attached). On a multicore this is the
-     * global instruction timebase, not any core's local count.
+     * Timebase for emitted events: the Simulator stamps each block
+     * head's user-instruction number here, and the observed kernels
+     * stamp every record of the block (AccessBlock::first + i). On a
+     * multicore this is the global instruction timebase, not any
+     * core's local count.
      */
     void setCurrentInstr(Counter n) { curInstr_ = n; }
     Counter currentInstr() const { return curInstr_; }
@@ -815,6 +825,8 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
         const TraceRecord &r = blk.recs[i];
+        if constexpr (kObs)
+            vm.setCurrentInstr(blk.first + i);
         a.addr = r.pc;
         a.store = false;
         vm.template instRefK<kObs>(a);

@@ -37,7 +37,6 @@ RecordedTrace::frame()
     for (std::size_t off = 0; off < totalBytes; off += chunkBytes)
         chunkCrcs_.push_back(
             crc32(bytes + off, std::min(chunkBytes, totalBytes - off)));
-    checksum_ = crc32(bytes, totalBytes);
 }
 
 Status

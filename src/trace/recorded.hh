@@ -78,9 +78,6 @@ class RecordedTrace
     const TraceRecord &at(std::size_t i) const { return records_[i]; }
     const std::vector<TraceRecord> &records() const { return records_; }
 
-    /** CRC32 over the whole record buffer, fixed at construction. */
-    std::uint32_t checksum() const { return checksum_; }
-
     /**
      * Recompute the chunk CRCs and compare against the values framed
      * at construction. On mismatch, reports the narrowest record range
@@ -98,7 +95,6 @@ class RecordedTrace
     std::vector<TraceRecord> records_;
     std::string name_;
     std::vector<std::uint32_t> chunkCrcs_;
-    std::uint32_t checksum_ = 0;
 };
 
 /**

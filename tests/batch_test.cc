@@ -354,43 +354,72 @@ struct ObservedRun
     std::string intervals;
 };
 
-ObservedRun
-observedRun(SystemKind kind, std::size_t batch)
+/** One input of the block-size equivalence matrix. */
+struct EquivCase
 {
+    unsigned cores;
+    Counter ctxSwitch;  ///< context-switch interval
+    Counter interval;   ///< sampler interval
+    Counter warmup;
+    bool sink;          ///< attach an event sink (else sampler only)
+    std::size_t batch;  ///< block size compared against one-record blocks
+};
+
+ObservedRun
+observedRun(SystemKind kind, const EquivCase &c, std::size_t batch)
+{
+    SimConfig cfg = batchTestConfig(kind);
+    cfg.cores = c.cores;
+    cfg.coreQuantum = 3000; // 4-core rows rotate within the run
+    cfg.ctxSwitchInterval = c.ctxSwitch;
     CollectingSink sink;
-    IntervalSampler sampler(1000);
+    IntervalSampler sampler(c.interval);
     RunHooks hooks;
-    hooks.sink = &sink;
+    hooks.sink = c.sink ? &sink : nullptr;
     hooks.sampler = &sampler;
     hooks.batch = batch;
-    Results r = runOnce(batchTestConfig(kind), "gcc", 20000, 5000, hooks);
+    Results r = runOnce(cfg, "gcc", 20000, c.warmup, hooks);
     return {r.serialize().dump(), sink.events(),
             intervalsToJson(sampler.intervals()).dump()};
 }
 
 TEST(BatchedSimulator, BitIdenticalToScalarForAllSystems)
 {
+    const EquivCase cases[] = {
+        // 256 divides neither the 997-instruction quantum nor the
+        // 1000-instruction sampling interval, so switches and interval
+        // boundaries land mid-batch.
+        {1, 997, 1000, 5000, true, 256},
+        // Switches fire at global instructions 999 + 1000k, so after a
+        // 4999-instruction warmup every 2000-instruction sampler
+        // boundary is also a switch point, inside a 4096-record block:
+        // the tick must still precede the switch. Sampler only, so the
+        // bare kernels run.
+        {1, 1000, 2000, 4999, false, Simulator::kDefaultBatch},
+        {4, 1000, 2000, 4999, false, Simulator::kDefaultBatch},
+    };
     for (SystemKind kind :
          {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
           SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
           SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
-        ObservedRun scalar = observedRun(kind, 1);
-        // 256 divides neither the 997-instruction quantum nor the
-        // 1000-instruction sampling interval, so switches and interval
-        // boundaries land mid-batch.
-        ObservedRun batched = observedRun(kind, 256);
+        for (const EquivCase &c : cases) {
+            ObservedRun scalar = observedRun(kind, c, 1);
+            ObservedRun batched = observedRun(kind, c, c.batch);
+            const std::string tag = std::string(kindName(kind)) +
+                                    " cores=" + std::to_string(c.cores) +
+                                    " ctx=" + std::to_string(c.ctxSwitch);
 
-        EXPECT_EQ(scalar.results, batched.results) << kindName(kind);
-        EXPECT_EQ(scalar.intervals, batched.intervals) << kindName(kind);
-        ASSERT_EQ(scalar.events.size(), batched.events.size())
-            << kindName(kind);
-        for (std::size_t i = 0; i < scalar.events.size(); ++i) {
-            const TraceEvent &a = scalar.events[i];
-            const TraceEvent &b = batched.events[i];
-            ASSERT_TRUE(a.kind == b.kind && a.level == b.level &&
-                        a.instr == b.instr && a.vaddr == b.vaddr &&
-                        a.vpn == b.vpn && a.cycles == b.cycles)
-                << kindName(kind) << " event " << i;
+            EXPECT_EQ(scalar.results, batched.results) << tag;
+            EXPECT_EQ(scalar.intervals, batched.intervals) << tag;
+            ASSERT_EQ(scalar.events.size(), batched.events.size()) << tag;
+            for (std::size_t i = 0; i < scalar.events.size(); ++i) {
+                const TraceEvent &a = scalar.events[i];
+                const TraceEvent &b = batched.events[i];
+                ASSERT_TRUE(a.kind == b.kind && a.level == b.level &&
+                            a.instr == b.instr && a.vaddr == b.vaddr &&
+                            a.vpn == b.vpn && a.cycles == b.cycles)
+                    << tag << " event " << i;
+            }
         }
     }
 }

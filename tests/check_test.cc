@@ -195,8 +195,8 @@ TEST(Cancellation, ScalarPollAtZeroRetiresNothing)
     sim.setCancel(&token);
     EXPECT_THROW(sim.run(10000), VmsimError);
     EXPECT_EQ(sim.instructionsExecuted(), 0u);
-    // The record the loop condition consumed was never executed: the
-    // memory system saw zero instruction fetches.
+    // The first block head polls before any fetch: the memory system
+    // saw zero instruction fetches.
     CheckReport rep = checkExecutedConservation(
         sim.instructionsExecuted(), sys.mem().stats());
     EXPECT_TRUE(rep.ok()) << rep.toString();
@@ -213,9 +213,10 @@ TEST(Cancellation, ScalarMidRunConservesExecuted)
     sim.setBatchSize(1);
     sim.setCancel(&token);
     EXPECT_THROW(sim.run(10000), VmsimError);
-    // Tripped at record 100; the scalar loop polls every 2048
-    // instructions, so exactly 2048 retired.
-    EXPECT_EQ(sim.instructionsExecuted(), 2048u);
+    // Tripped while fetching the 101st record; one-record blocks poll
+    // at every head, so that record retires and the next head cancels:
+    // exactly 101 retired.
+    EXPECT_EQ(sim.instructionsExecuted(), 101u);
     CheckReport rep = checkExecutedConservation(
         sim.instructionsExecuted(), sys.mem().stats());
     EXPECT_TRUE(rep.ok()) << rep.toString();
