@@ -4,7 +4,8 @@
 # {1,2,4} under a fixed adversarial config (context switches, ASID
 # tagging, L2 TLB, interval sampling, latency collection), then at
 # cores {1,4} under a 1 MiB frame budget with LRU reclaim and once more
-# with every sampler boundary on a context-switch point, and prints a
+# with every sampler boundary on a context-switch point, then at cores 1
+# with 4-way caches and with a unified L2, and prints a
 # sha256 line per row covering the summary JSON, the stats
 # dump (counters + interval series + latency histograms), and the full
 # event stream.  ci.sh cmp's the output against the committed
@@ -66,4 +67,14 @@ for sys in $SYSTEMS; do
         row " tick=switch" "$cores" --instructions=10000 --warmup=4999 \
             --interval=2000 --ctx-switch=1000
     done
+done
+# Cache geometry: 4-way LRU caches at both levels, then a unified L2,
+# so the set-associative and shared-L2 paths are byte-pinned too.
+for sys in $SYSTEMS; do
+    row " assoc=4" 1 --instructions=10000 --warmup=2000 \
+        --interval=2500 --ctx-switch=997 --assoc=4
+done
+for sys in $SYSTEMS; do
+    row " unified-l2" 1 --instructions=10000 --warmup=2000 \
+        --interval=2500 --ctx-switch=997 --unified-l2
 done
