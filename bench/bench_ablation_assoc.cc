@@ -33,8 +33,6 @@ main(int argc, char **argv)
                             [assoc](SimConfig &cfg) {
                                 cfg.l1.assoc = assoc;
                                 cfg.l2.assoc = assoc;
-                                cfg.l1.repl = CacheRepl::LRU;
-                                cfg.l2.repl = CacheRepl::LRU;
                             }});
 
     SweepSpec spec = paperSweep(opts);

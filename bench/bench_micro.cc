@@ -49,17 +49,20 @@ BM_CacheAccessHit(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccessHit);
 
+/** Streaming misses; Arg is the associativity, so 1 times the inline
+ *  direct-mapped path and 4 the out-of-line LRU path. */
 void
 BM_CacheAccessStream(benchmark::State &state)
 {
-    Cache cache(CacheParams{64_KiB, 32});
+    Cache cache(CacheParams{64_KiB, 32,
+                            static_cast<unsigned>(state.range(0))});
     Addr a = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(a));
         a += 32;
     }
 }
-BENCHMARK(BM_CacheAccessStream);
+BENCHMARK(BM_CacheAccessStream)->Arg(1)->Arg(4);
 
 void
 BM_TlbLookupHit(benchmark::State &state)

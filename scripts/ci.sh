@@ -244,11 +244,12 @@ scripts/golden_replay.sh build > "$SMOKE_DIR/golden_now.txt"
 cmp tests/golden/replay_sha256.txt "$SMOKE_DIR/golden_now.txt"
 
 echo "== kernel lint =="
-# The devirtualized per-record kernels live between LINT-KERNEL-BEGIN
-# and LINT-KERNEL-END markers. Virtual dispatch or node-based hash
+# The devirtualized per-record kernels, and the inline cache path they
+# call, live between LINT-KERNEL-BEGIN and LINT-KERNEL-END markers. Virtual dispatch or node-based hash
 # probes reappearing inside them is a silent hot-path regression: the
 # code still passes every equivalence test, just slower. Fail instead.
-for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh; do
+for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh src/mem/cache.hh \
+               src/mem/mem_system.hh; do
     test -f "$hot_hdr"
     grep -q "LINT-KERNEL-BEGIN" "$hot_hdr"
     region=$(awk '/LINT-KERNEL-BEGIN/,/LINT-KERNEL-END/' "$hot_hdr")
@@ -279,7 +280,9 @@ for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/mem/phys_mem.hh \
                src/mem/phys_mem.cc src/mem/frame_pool.hh \
                src/mem/frame_pool.cc src/pt/intel_page_table.hh \
                src/pt/intel_page_table.cc src/pt/hashed_page_table.hh \
-               src/pt/hashed_page_table.cc src/base/flat_hash.hh; do
+               src/pt/hashed_page_table.cc src/base/flat_hash.hh \
+               src/mem/cache.hh src/mem/cache.cc src/mem/mem_system.hh \
+               src/mem/mem_system.cc; do
     if grep -nE 'unordered_map[[:space:]]*<|include[[:space:]]*<unordered_map>' \
             "$hot_src"; then
         echo "kernel lint: unordered_map in hot file $hot_src" >&2

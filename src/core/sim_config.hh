@@ -99,8 +99,8 @@ struct SimConfig
 {
     SystemKind kind = SystemKind::Ultrix;
 
-    CacheParams l1{32_KiB, 32, 1, CacheRepl::LRU};
-    CacheParams l2{1_MiB, 64, 1, CacheRepl::LRU};
+    CacheParams l1{32_KiB, 32, 1};
+    CacheParams l2{1_MiB, 64, 1};
 
     /**
      * TLB geometry. protectedSlots here applies only to systems that

@@ -129,7 +129,7 @@ System::System(const SimConfig &config)
     physMem_ = std::make_unique<PhysMem>(config_.physMemBytes,
                                          config_.pageBits);
     mem_ = std::make_unique<MemSystem>(config_.l1, config_.l2,
-                                       config_.seed, config_.unifiedL2);
+                                       config_.unifiedL2);
     vm_ = makeVmSystem(config_, *mem_, *physMem_);
     // Arm the frame budget only after the organization has made its
     // page-table reservations, so the pool governs demand paging alone.

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/intmath.hh"
@@ -28,8 +29,7 @@ CacheParams::toString() const
     return oss.str();
 }
 
-Cache::Cache(const CacheParams &params, std::uint64_t seed)
-    : params_(params), rng_(seed)
+Cache::Cache(const CacheParams &params, std::uint64_t) : params_(params)
 {
     fatalIf(params_.sizeBytes == 0, "cache size must be nonzero");
     fatalIf(!isPowerOf2(params_.sizeBytes),
@@ -46,84 +46,69 @@ Cache::Cache(const CacheParams &params, std::uint64_t seed)
             "cache must have a power-of-two number of sets, got ", sets);
 
     lineBits_ = floorLog2(params_.lineSize);
-    setBits_ = floorLog2(sets);
+    tagShift_ = lineBits_ + floorLog2(sets);
     lineMask_ = params_.lineSize - 1;
     setMask_ = sets - 1;
-    ways_.assign(sets * params_.assoc, Way{});
+    tags_.assign(sets * params_.assoc, kNoTag);
+    if (params_.assoc > 1)
+        stamps_.assign(tags_.size(), 0);
+}
+
+std::size_t
+Cache::find(Addr addr) const
+{
+    const std::size_t base = setIndex(addr) * params_.assoc;
+    const Addr tag = tagOf(addr);
+    for (std::size_t w = base; w < base + params_.assoc; ++w)
+        if (tags_[w] == tag)
+            return w;
+    return tags_.size();
 }
 
 bool
-Cache::access(Addr addr)
+Cache::accessAssoc(Addr addr)
 {
-    ++accesses_;
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Way *base = &ways_[set * params_.assoc];
-
     ++stamp_;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lruStamp = stamp_;
-            return true;
-        }
+    if (const std::size_t hit = find(addr); hit != tags_.size()) {
+        stamps_[hit] = stamp_;
+        return true;
     }
 
     ++misses_;
 
-    // Fill: prefer an invalid way, else replace per policy.
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+    // Fill: prefer an invalid way, else replace the least recently used.
+    const std::size_t base = setIndex(addr) * params_.assoc;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + params_.assoc; ++w) {
+        if (tags_[w] == kNoTag) {
+            victim = w;
             break;
         }
+        if (stamps_[w] < stamps_[victim])
+            victim = w;
     }
-    if (!victim) {
-        if (params_.assoc == 1) {
-            victim = base;
-        } else if (params_.repl == CacheRepl::Random) {
-            victim = &base[rng_.uniform(params_.assoc)];
-        } else {
-            victim = base;
-            for (unsigned w = 1; w < params_.assoc; ++w)
-                if (base[w].lruStamp < victim->lruStamp)
-                    victim = &base[w];
-        }
-    }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->lruStamp = stamp_;
+    tags_[victim] = tagOf(addr);
+    stamps_[victim] = stamp_;
     return false;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    const Way *base = &ways_[set * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    return find(addr) != tags_.size();
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Way *base = &ways_[set * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            base[w].valid = false;
+    if (const std::size_t w = find(addr); w != tags_.size())
+        tags_[w] = kNoTag;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &w : ways_)
-        w.valid = false;
+    std::fill(tags_.begin(), tags_.end(), kNoTag);
 }
 
 double
@@ -137,11 +122,9 @@ Cache::missRate() const
 std::uint64_t
 Cache::validLines() const
 {
-    std::uint64_t n = 0;
-    for (const auto &w : ways_)
-        if (w.valid)
-            ++n;
-    return n;
+    return static_cast<std::uint64_t>(
+        std::count_if(tags_.begin(), tags_.end(),
+                      [](Addr t) { return t != kNoTag; }));
 }
 
 } // namespace vmsim

@@ -7,27 +7,28 @@
  * those choices a cache is completely described by its tag state: every
  * access either hits or fills exactly one line, loads and stores behave
  * identically with respect to tag state (write-allocate), and no dirty
- * state exists (write-through). Set-associativity with LRU or random
- * replacement is also supported; the paper uses it only as a discussion
- * point ("easily solved with set associativity"), and vmsim exposes it
- * for the associativity ablation bench.
+ * state exists (write-through). Set-associativity with LRU replacement
+ * is also supported; the paper uses it only as a discussion point
+ * ("easily solved with set associativity"), and vmsim exposes it for
+ * the associativity ablation bench.
+ *
+ * Tag state is one array of tags (kNoTag marks an empty way), so a
+ * direct-mapped access is one inline load, compare and, on a miss,
+ * store. LRU stamps exist only when assoc > 1 (DESIGN.md section 6).
  */
 
 #ifndef VMSIM_MEM_CACHE_HH
 #define VMSIM_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/random.hh"
 #include "base/types.hh"
 
 namespace vmsim
 {
-
-/** Replacement policy for associative caches (ignored if assoc == 1). */
-enum class CacheRepl : std::uint8_t { LRU, Random };
 
 /** Geometry of one cache (one side of one level). */
 struct CacheParams
@@ -38,11 +39,9 @@ struct CacheParams
     /** Line size in bytes; power of two. */
     unsigned lineSize = 32;
 
-    /** Associativity; 1 (direct-mapped) is the paper's configuration. */
+    /** Associativity; 1 (direct-mapped) is the paper's configuration.
+     *  Associative caches replace the least recently used way. */
     unsigned assoc = 1;
-
-    /** Replacement policy when assoc > 1. */
-    CacheRepl repl = CacheRepl::LRU;
 
     /** Number of sets implied by the geometry. */
     std::uint64_t numSets() const { return sizeBytes / lineSize / assoc; }
@@ -60,18 +59,38 @@ struct CacheParams
 class Cache
 {
   public:
+    /** Tag of an empty way. Lines are at least 4 bytes, so a real
+     *  tag is below 2^62 and never equals it. */
+    static constexpr Addr kNoTag = ~Addr{0};
+
     /**
      * @param params geometry (validated: power-of-two sizes, size
      *               divisible by line * assoc)
-     * @param seed   seed for the random-replacement stream
+     * A second argument is accepted and ignored (replacement is
+     * deterministic), so older two-argument callers keep building.
      */
-    explicit Cache(const CacheParams &params, std::uint64_t seed = 1);
+    explicit Cache(const CacheParams &params, std::uint64_t = 0);
 
+    // LINT-KERNEL-BEGIN (cache)
     /**
      * Access one line. On a miss the line is filled (write-allocate);
      * the caller attributes cost. @return true on hit.
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        ++accesses_;
+        if (params_.assoc != 1)
+            return accessAssoc(addr);
+        Addr &slot = tags_[setIndex(addr)];
+        const Addr tag = tagOf(addr);
+        if (slot == tag)
+            return true;
+        ++misses_;
+        slot = tag;
+        return false;
+    }
+    // LINT-KERNEL-END (cache)
 
     /** Tag check without state change. @return true if present. */
     bool probe(Addr addr) const;
@@ -95,27 +114,27 @@ class Cache
     Addr lineAddr(Addr addr) const { return addr & ~lineMask_; }
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lruStamp = 0;
-    };
+    /** access() for assoc > 1: LRU over the set's ways. */
+    bool accessAssoc(Addr addr);
+
+    /** Index in tags_ of the way holding @p addr's line, else
+     *  tags_.size(). */
+    std::size_t find(Addr addr) const;
 
     std::uint64_t setIndex(Addr addr) const
     {
         return (addr >> lineBits_) & setMask_;
     }
 
-    Addr tagOf(Addr addr) const { return addr >> (lineBits_ + setBits_); }
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
 
     CacheParams params_;
     unsigned lineBits_;
-    unsigned setBits_;
+    unsigned tagShift_; ///< lineBits + setBits
     std::uint64_t lineMask_;
     std::uint64_t setMask_;
-    std::vector<Way> ways_; // sets * assoc, way-major within a set
-    Random rng_;
+    std::vector<Addr> tags_; ///< sets * assoc, way-major within a set
+    std::vector<std::uint64_t> stamps_; ///< LRU stamps; empty if assoc 1
     std::uint64_t stamp_ = 0;
     Counter accesses_ = 0;
     Counter misses_ = 0;

@@ -5,19 +5,12 @@
 namespace vmsim
 {
 
-CacheParams
-MemSystem::doubled(CacheParams p, bool enable)
-{
-    if (enable)
-        p.sizeBytes *= 2;
-    return p;
-}
-
 MemSystem::MemSystem(const CacheParams &l1, const CacheParams &l2,
-                     std::uint64_t seed, bool unified_l2)
-    : unifiedL2_(unified_l2), l1i_(l1, seed ^ 0x11),
-      l1d_(l1, seed ^ 0x22), l2i_(doubled(l2, unified_l2), seed ^ 0x33),
-      l2dOwn_(l2, seed ^ 0x44),
+                     bool unified_l2)
+    : l1i_(l1), l1d_(l1),
+      l2i_({unified_l2 ? 2 * l2.sizeBytes : l2.sizeBytes, l2.lineSize,
+            l2.assoc}),
+      l2dOwn_(l2),
       l2dPtr_(unified_l2 ? &l2i_ : &l2dOwn_)
 {
     fatalIf(l2.sizeBytes < l1.sizeBytes,
@@ -29,37 +22,12 @@ MemSystem::MemSystem(const CacheParams &l1, const CacheParams &l2,
 }
 
 MemLevel
-MemSystem::accessLine(Cache &l1, Cache &l2, Addr addr, ClassCounters &ctrs)
+MemSystem::dataAccessLines(Addr first, Addr last, ClassCounters &ctrs)
 {
-    ++ctrs.accesses;
-    if (l1.access(addr))
-        return MemLevel::L1;
-    ++ctrs.l1Misses;
-    if (l2.access(addr))
-        return MemLevel::L2;
-    ++ctrs.l2Misses;
-    return MemLevel::Memory;
-}
-
-MemLevel
-MemSystem::instFetch(Addr pc, AccessClass cls)
-{
-    auto &ctrs = stats_.inst[static_cast<unsigned>(cls)];
-    return accessLine(l1i_, l2i_, pc, ctrs);
-}
-
-MemLevel
-MemSystem::dataAccess(Addr addr, unsigned size, bool store, AccessClass cls)
-{
-    if (store)
-        ++stores_;
-    auto &ctrs = stats_.data[static_cast<unsigned>(cls)];
-    unsigned line = l1d_.params().lineSize;
-    Addr first = l1d_.lineAddr(addr);
-    Addr last = l1d_.lineAddr(addr + (size ? size - 1 : 0));
+    const unsigned line = l1d_.params().lineSize;
     MemLevel worst = MemLevel::L1;
-    for (Addr a = first; a <= last; a += line) {
-        MemLevel lvl = accessLine(l1d_, *l2dPtr_, a, ctrs);
+    for (Addr a = l1d_.lineAddr(first); a <= last; a += line) {
+        const MemLevel lvl = accessLine(l1d_, *l2dPtr_, a, ctrs);
         if (lvl > worst)
             worst = lvl;
     }

@@ -96,7 +96,6 @@ class MemSystem
     /**
      * @param l1 geometry of each L1 side (the paper's "per side" size)
      * @param l2 geometry of each L2 side
-     * @param seed seed for replacement randomness (associative configs)
      * @param unified_l2 if true, instructions and data share a single
      *        L2 of twice the per-side size (equal total capacity) —
      *        the organization the paper declines to simulate but
@@ -104,13 +103,19 @@ class MemSystem
      *        unified-L2 ablation
      */
     MemSystem(const CacheParams &l1, const CacheParams &l2,
-              std::uint64_t seed = 1, bool unified_l2 = false);
+              bool unified_l2 = false);
 
+    // LINT-KERNEL-BEGIN (cache)
     /**
      * Fetch one instruction word at @p pc through the I-side hierarchy.
      * @return deepest level reached.
      */
-    MemLevel instFetch(Addr pc, AccessClass cls);
+    MemLevel
+    instFetch(Addr pc, AccessClass cls)
+    {
+        return accessLine(l1i_, l2i_, pc,
+                          stats_.inst[static_cast<unsigned>(cls)]);
+    }
 
     /**
      * Access @p size bytes at @p addr through the D-side hierarchy.
@@ -119,8 +124,18 @@ class MemSystem
      * identical for tag state (write-allocate, write-through); the
      * @p store flag only routes statistics.
      */
-    MemLevel dataAccess(Addr addr, unsigned size, bool store,
-                        AccessClass cls);
+    MemLevel
+    dataAccess(Addr addr, unsigned size, bool store, AccessClass cls)
+    {
+        if (store)
+            ++stores_;
+        ClassCounters &ctrs = stats_.data[static_cast<unsigned>(cls)];
+        const Addr last = addr + (size ? size - 1 : 0);
+        if (l1d_.lineAddr(addr) == l1d_.lineAddr(last))
+            return accessLine(l1d_, *l2dPtr_, addr, ctrs);
+        return dataAccessLines(addr, last, ctrs);
+    }
+    // LINT-KERNEL-END (cache)
 
     /** Invalidate all four caches (cold start). */
     void invalidateAll();
@@ -135,16 +150,30 @@ class MemSystem
     const Cache &l2i() const { return l2i_; }
     const Cache &l2d() const { return *l2dPtr_; }
 
-    bool unifiedL2() const { return unifiedL2_; }
+    bool unifiedL2() const { return l2dPtr_ == &l2i_; }
 
   private:
-    MemLevel accessLine(Cache &l1, Cache &l2, Addr addr,
-                        ClassCounters &ctrs);
+    // LINT-KERNEL-BEGIN (cache)
+    /** One line through @p l1 and, on an L1 miss, @p l2. An address
+     *  anywhere in the line will do: the L2 line is never smaller. */
+    static MemLevel
+    accessLine(Cache &l1, Cache &l2, Addr addr, ClassCounters &ctrs)
+    {
+        ++ctrs.accesses;
+        if (l1.access(addr))
+            return MemLevel::L1;
+        ++ctrs.l1Misses;
+        if (l2.access(addr))
+            return MemLevel::L2;
+        ++ctrs.l2Misses;
+        return MemLevel::Memory;
+    }
+    // LINT-KERNEL-END (cache)
 
-    /** Double the capacity of @p p (for the unified-L2 geometry). */
-    static CacheParams doubled(CacheParams p, bool enable);
+    /** dataAccess() for a span from @p first to @p last crossing at
+     *  least one line boundary. */
+    MemLevel dataAccessLines(Addr first, Addr last, ClassCounters &ctrs);
 
-    bool unifiedL2_;
     Cache l1i_;
     Cache l1d_;
     Cache l2i_;   ///< unified: the single shared L2

@@ -29,7 +29,7 @@ CacheParams l2() { return CacheParams{1_MiB, 64}; }
 
 TEST(UnifiedL2, SharedCacheSeesBothSides)
 {
-    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, 1, true);
+    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, true);
     EXPECT_TRUE(m.unifiedL2());
     // Unified L2 has twice the per-side capacity.
     EXPECT_EQ(m.l2i().params().sizeBytes, 16_KiB);
@@ -42,7 +42,7 @@ TEST(UnifiedL2, SharedCacheSeesBothSides)
 
 TEST(UnifiedL2, SplitCachesDoNotShare)
 {
-    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, 1, false);
+    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, false);
     EXPECT_FALSE(m.unifiedL2());
     EXPECT_NE(&m.l2i(), &m.l2d());
     m.dataAccess(0x4000, 4, false, AccessClass::User);
@@ -51,7 +51,7 @@ TEST(UnifiedL2, SplitCachesDoNotShare)
 
 TEST(UnifiedL2, InvalidateAllCoversSharedCache)
 {
-    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, 1, true);
+    MemSystem m(CacheParams{1_KiB, 32}, CacheParams{8_KiB, 64}, true);
     m.dataAccess(0x4000, 4, false, AccessClass::User);
     m.invalidateAll();
     EXPECT_EQ(m.dataAccess(0x4000, 4, false, AccessClass::User),

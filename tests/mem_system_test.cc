@@ -215,7 +215,7 @@ TEST(MemSystem, CumulativeCountsAcrossClasses)
 
 TEST(MemSystem, UnifiedL2KeepsClassAttribution)
 {
-    MemSystem m(cp(1_KiB, 32), cp(8_KiB, 64), 1, /*unified=*/true);
+    MemSystem m(cp(1_KiB, 32), cp(8_KiB, 64), /*unified=*/true);
     m.dataAccess(0x100, 4, false, AccessClass::PteUser);
     m.instFetch(0x100, AccessClass::User);
     EXPECT_EQ(m.stats().dataOf(AccessClass::PteUser).accesses, 1u);
@@ -229,7 +229,7 @@ TEST(MemSystem, UnifiedL2CrossSidePollution)
 {
     // Instruction traffic can evict data lines in a unified L2 —
     // impossible with split L2s.
-    MemSystem m(cp(1_KiB, 32), cp(2_KiB, 32), 1, /*unified=*/true);
+    MemSystem m(cp(1_KiB, 32), cp(2_KiB, 32), /*unified=*/true);
     // Unified L2 = 4 KB of 32B lines = 128 direct-mapped sets.
     m.dataAccess(0x0, 4, false, AccessClass::User);
     ASSERT_TRUE(m.l2d().probe(0x0));
@@ -242,7 +242,7 @@ TEST(MemSystem, UnifiedL2CrossSidePollution)
 
 TEST(MemSystem, SplitL2NoCrossSidePollution)
 {
-    MemSystem m(cp(1_KiB, 32), cp(2_KiB, 32), 1, /*unified=*/false);
+    MemSystem m(cp(1_KiB, 32), cp(2_KiB, 32), /*unified=*/false);
     m.dataAccess(0x0, 4, false, AccessClass::User);
     for (Addr a = 0; a < 8_KiB; a += 32)
         m.instFetch(0x100000 + a, AccessClass::User);
