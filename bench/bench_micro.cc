@@ -2,7 +2,7 @@
  * @file
  * M1: microbenchmarks (google-benchmark) of the simulator primitives:
  * cache access, TLB lookup/insert, hashed-table walk, synthetic trace
- * generation/replay (scalar and batched), and the full simulation
+ * generation/replay (scalar and batched), CRC32, and the full simulation
  * step for each VM organization. These bound the wall-clock cost of
  * the sweep benches and catch performance regressions in the hot loop.
  *
@@ -249,6 +249,23 @@ BM_ReplayNextBatch(benchmark::State &state)
                             static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_ReplayNextBatch);
+
+/** crc32() over a VMT2 record (13 B), a journal line (256 B) and one
+ *  recorded-trace framing chunk (48 KiB). */
+void
+BM_Crc32(benchmark::State &state)
+{
+    const auto len = static_cast<std::size_t>(state.range(0));
+    std::vector<unsigned char> buf(len);
+    for (std::size_t i = 0; i < len; ++i)
+        buf[i] = static_cast<unsigned char>(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_Crc32)->Arg(13)->Arg(256)->Arg(
+    RecordedTrace::kCrcChunkRecords * sizeof(TraceRecord));
 
 void
 BM_SimulatorStep(benchmark::State &state)

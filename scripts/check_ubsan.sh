@@ -1,9 +1,11 @@
 #!/bin/sh
 # Build the simulator with UndefinedBehaviorSanitizer and run the
 # suites that push the robustness machinery hardest: structured error
-# paths, fault injection, checkpoint/resume, and the trace codec.
-# Catches integer overflows, misaligned loads, and invalid enum casts
-# (e.g. a corrupt trace op byte) that plain unit tests can miss.
+# paths, fault injection, checkpoint/resume, the trace codec, and the
+# CRC32 that frames every durable artifact. Catches integer overflows,
+# misaligned loads (crc32's 8-byte steps at every start offset), and
+# invalid enum casts (e.g. a corrupt trace op byte) that plain unit
+# tests can miss.
 #
 # Usage: scripts/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -eu
@@ -14,7 +16,7 @@ BUILD_DIR=${1:-build-ubsan}
 cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target error_test fault_test sweep_resume_test trace_test \
+    --target base_test error_test fault_test sweep_resume_test trace_test \
     sim_config_test check_fuzz vmsim_cli
 
 # halt_on_error turns any UB report into a nonzero exit so set -eu
@@ -22,6 +24,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export UBSAN_OPTIONS
 
+"$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/error_test
 "$BUILD_DIR"/tests/fault_test
 "$BUILD_DIR"/tests/sweep_resume_test

@@ -1,7 +1,9 @@
 #include "base/crc.hh"
 
 #include <array>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace vmsim
 {
@@ -9,17 +11,39 @@ namespace vmsim
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8: tables[0] is the classic byte-at-a-time table, and
+// tables[k][b] is the CRC of byte b followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups.
+constexpr CrcTables
+makeTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    return t;
+}
+
+constexpr CrcTables kTables = makeTables();
+
+/** Little-endian 32-bit load from any alignment. */
+std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big)
+        v = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) |
+            (v << 24);
+    return v;
 }
 
 } // anonymous namespace
@@ -27,11 +51,18 @@ makeTable()
 std::uint32_t
 crc32(const void *data, std::size_t len, std::uint32_t seed)
 {
-    static const std::array<std::uint32_t, 256> table = makeTable();
     const unsigned char *p = static_cast<const unsigned char *>(data);
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = c ^ loadLe32(p);
+        const std::uint32_t hi = loadLe32(p + 4);
+        c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+            kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+            kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

@@ -5,10 +5,13 @@
  * corrupted bytes after a crash: sweep/shard journal lines, VMT2 trace
  * records, and recorded-trace replay framing.
  *
- * The implementation is the classic 256-entry table; incremental use
- * chains through the `seed` parameter (pass the previous call's return
- * value). crc32Hex() renders the canonical 8-hex-digit form the JSONL
- * journals embed.
+ * The implementation is table-only slicing-by-8: eight 256-entry tables
+ * fold eight bytes per step through unaligned-safe memcpy loads, and a
+ * byte-at-a-time tail finishes the buffer. It returns the same values as
+ * the classic one-table loop, so every framed artifact is unchanged.
+ * Incremental use chains through the `seed` parameter (pass the previous
+ * call's return value). crc32Hex() renders the canonical 8-hex-digit
+ * form the JSONL journals embed.
  */
 
 #ifndef VMSIM_BASE_CRC_HH

@@ -10,6 +10,30 @@
 namespace vmsim
 {
 
+namespace
+{
+
+/** First record in [@p lo, @p hi) with an out-of-range op, or @p hi. */
+std::size_t
+firstBadOp(const std::vector<TraceRecord> &records, std::size_t lo,
+           std::size_t hi)
+{
+    for (; lo < hi; ++lo)
+        if (static_cast<unsigned>(records[lo].op) > 2)
+            break;
+    return lo;
+}
+
+/** CRC32 of records [@p lo, @p hi): one framing chunk. */
+std::uint32_t
+rangeCrc(const std::vector<TraceRecord> &records, std::size_t lo,
+         std::size_t hi)
+{
+    return crc32(records.data() + lo, (hi - lo) * sizeof(TraceRecord));
+}
+
+} // anonymous namespace
+
 RecordedTrace::RecordedTrace(std::vector<TraceRecord> records,
                              std::string name)
     : records_(std::move(records)), name_(std::move(name))
@@ -20,51 +44,42 @@ RecordedTrace::RecordedTrace(std::vector<TraceRecord> records,
 void
 RecordedTrace::frame()
 {
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const auto op = static_cast<unsigned>(records_[i].op);
-        if (op > 2)
+    // One pass, one chunk at a time: validate the chunk's ops, then CRC
+    // it while its 48 KiB are still in cache.
+    const std::size_t chunks =
+        (records_.size() + kCrcChunkRecords - 1) / kCrcChunkRecords;
+    chunkCrcs_.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t lo = c * kCrcChunkRecords;
+        const std::size_t hi =
+            std::min(lo + kCrcChunkRecords, records_.size());
+        const std::size_t bad = firstBadOp(records_, lo, hi);
+        if (bad < hi)
             throw VmsimError(makeError(
                 ErrorCode::ParseError, name_, "recorded trace '", name_,
-                "' record ", i, ": op=", op));
+                "' record ", bad, ": op=",
+                static_cast<unsigned>(records_[bad].op)));
+        chunkCrcs_.push_back(rangeCrc(records_, lo, hi));
     }
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(records_.data());
-    const std::size_t chunkBytes =
-        kCrcChunkRecords * sizeof(TraceRecord);
-    const std::size_t totalBytes = records_.size() * sizeof(TraceRecord);
-    chunkCrcs_.reserve((records_.size() + kCrcChunkRecords - 1) /
-                       kCrcChunkRecords);
-    for (std::size_t off = 0; off < totalBytes; off += chunkBytes)
-        chunkCrcs_.push_back(
-            crc32(bytes + off, std::min(chunkBytes, totalBytes - off)));
 }
 
 Status
 RecordedTrace::verifyIntegrity() const
 {
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(records_.data());
-    const std::size_t chunkBytes =
-        kCrcChunkRecords * sizeof(TraceRecord);
-    const std::size_t totalBytes = records_.size() * sizeof(TraceRecord);
     for (std::size_t c = 0; c < chunkCrcs_.size(); ++c) {
-        const std::size_t off = c * chunkBytes;
-        if (crc32(bytes + off, std::min(chunkBytes, totalBytes - off)) ==
-            chunkCrcs_[c])
-            continue;
         const std::size_t lo = c * kCrcChunkRecords;
         const std::size_t hi =
             std::min(lo + kCrcChunkRecords, records_.size());
+        if (rangeCrc(records_, lo, hi) == chunkCrcs_[c])
+            continue;
         // If the damage flipped an op out of range, name the exact
         // record; otherwise the chunk range is the best we can do.
-        for (std::size_t i = lo; i < hi; ++i) {
-            const auto op = static_cast<unsigned>(records_[i].op);
-            if (op > 2)
-                return makeError(ErrorCode::ParseError, name_,
-                                 "recorded trace '", name_,
-                                 "' corrupted: record ", i, " has op=",
-                                 op);
-        }
+        const std::size_t bad = firstBadOp(records_, lo, hi);
+        if (bad < hi)
+            return makeError(ErrorCode::ParseError, name_,
+                             "recorded trace '", name_,
+                             "' corrupted: record ", bad, " has op=",
+                             static_cast<unsigned>(records_[bad].op));
         return makeError(ErrorCode::ParseError, name_,
                          "recorded trace '", name_,
                          "' corrupted: checksum mismatch in records [",

@@ -38,6 +38,10 @@ struct TraceRecord
     std::uint32_t pc = 0;
     std::uint32_t daddr = 0;
     MemOp op = MemOp::None;
+    /** Explicit, always-zero tail: a record has no padding, so a CRC
+     *  over the raw bytes (RecordedTrace framing) hashes only defined
+     *  values. */
+    std::uint8_t reserved[3] = {};
 
     bool isMemOp() const { return op != MemOp::None; }
     bool isStore() const { return op == MemOp::Store; }
@@ -48,6 +52,9 @@ struct TraceRecord
         return pc == o.pc && daddr == o.daddr && op == o.op;
     }
 };
+
+static_assert(sizeof(TraceRecord) == 12,
+              "TraceRecord must stay 12 bytes with no padding");
 
 /** A stream of executed instructions. */
 class TraceSource

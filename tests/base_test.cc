@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the base module: intmath, bitfield, logging, random,
- * stats, and table rendering.
+ * stats, table rendering, and CRC32.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,11 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/bitfield.hh"
+#include "base/crc.hh"
 #include "base/intmath.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -834,6 +837,81 @@ TEST(Json, DoubleDumpParsesBackExactly)
     // Short representations stay short.
     EXPECT_EQ(Json(1.5).dump(), "1.5");
     EXPECT_EQ(Json(0.25).dump(), "0.25");
+}
+
+// -------------------------------------------------------------------- crc
+
+/** Bit-at-a-time IEEE CRC32: the definition crc32() must match. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t len, std::uint32_t seed)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+std::vector<unsigned char>
+randomBytes(Random &rng, std::size_t n)
+{
+    std::vector<unsigned char> bytes(n);
+    for (auto &b : bytes)
+        b = static_cast<unsigned char>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926u);
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(std::string()), 0u);
+    EXPECT_EQ(crc32Hex(crc32(std::string("123456789"))), "cbf43926");
+    // A journal line framed before slicing-by-8 still verifies.
+    std::string payload;
+    EXPECT_EQ(crcUnframeLine("{\"crc\":\"784e870d\",\"data\":{\"cell\":7}}",
+                             payload),
+              FrameCheck::Ok);
+    EXPECT_EQ(payload, "{\"cell\":7}");
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths straddle the 8-byte step and its byte tail; start offsets
+    // 0-8 put the 8-byte loads at every misalignment.
+    for (std::uint64_t seed : {1u, 7u, 12345u}) {
+        Random rng(seed);
+        const std::vector<unsigned char> buf = randomBytes(rng, 200 + 8);
+        const auto prior = static_cast<std::uint32_t>(rng.next());
+        for (std::size_t off = 0; off <= 8; ++off)
+            for (std::size_t len = 0; len <= 200; ++len) {
+                const unsigned char *p = buf.data() + off;
+                ASSERT_EQ(crc32(p, len), bitwiseCrc32(p, len, 0))
+                    << "seed " << seed << " off " << off << " len " << len;
+                ASSERT_EQ(crc32(p, len, prior), bitwiseCrc32(p, len, prior))
+                    << "seed " << seed << " off " << off << " len " << len;
+            }
+    }
+    // One recorded-trace chunk (48 KiB) plus a ragged tail.
+    Random rng(5);
+    const std::vector<unsigned char> chunk = randomBytes(rng, 49152 + 5);
+    EXPECT_EQ(crc32(chunk.data(), chunk.size()),
+              bitwiseCrc32(chunk.data(), chunk.size(), 0));
+}
+
+TEST(Crc32, ChainsAtEverySplitPoint)
+{
+    Random rng(99);
+    const std::vector<unsigned char> buf = randomBytes(rng, 100);
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+        const std::uint32_t head = crc32(buf.data(), split);
+        EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, head),
+                  whole)
+            << "split " << split;
+    }
 }
 
 } // anonymous namespace

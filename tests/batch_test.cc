@@ -294,6 +294,102 @@ TEST(RecordedTrace, LendBatchMatchesNextBatchZeroCopy)
     EXPECT_EQ(got, 0u);
 }
 
+/** A gcc-like recording of @p n records, for the integrity tests. */
+RecordedTrace
+gccRecording(std::size_t n)
+{
+    auto src = makeWorkload("gcc", 21);
+    return RecordedTrace::record(*src, n, "gcc-int");
+}
+
+/** Writable access to one record of a recording: stands in for a stray
+ *  write through a lent batch pointer. */
+TraceRecord &
+scribble(RecordedTrace &rec, std::size_t record)
+{
+    return const_cast<TraceRecord &>(rec.records()[record]);
+}
+
+/** verifyIntegrity()'s failure message, or "" when it passes. */
+std::string
+integrityError(const RecordedTrace &rec)
+{
+    const Status st = rec.verifyIntegrity();
+    if (st.ok())
+        return "";
+    EXPECT_EQ(st.error().code, ErrorCode::ParseError);
+    return st.error().message;
+}
+
+TEST(RecordedTrace, VerifyIntegrityPassesAtChunkBoundaries)
+{
+    constexpr std::size_t kChunk = RecordedTrace::kCrcChunkRecords;
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1,
+                          kChunk, kChunk + 1}) {
+        const RecordedTrace rec = gccRecording(n);
+        ASSERT_EQ(rec.size(), n);
+        EXPECT_EQ(integrityError(rec), "") << n << " records";
+    }
+}
+
+TEST(RecordedTrace, VerifyIntegrityNamesTheCorruptChunk)
+{
+    // Chunks [0, 4096), [4096, 8192), [8192, 12288), [12288, 12388).
+    constexpr std::size_t kChunk = RecordedTrace::kCrcChunkRecords;
+    constexpr std::size_t kRecords = 3 * kChunk + 100;
+    RecordedTrace rec = gccRecording(kRecords);
+    struct Flip
+    {
+        std::size_t record;
+        std::uint32_t TraceRecord::*field;
+        std::uint32_t mask;
+        std::string range;
+    };
+    const Flip flips[] = {
+        {10, &TraceRecord::pc, 0x40, "[0, 4096)"},
+        {kChunk + 904, &TraceRecord::daddr, 0x4000, "[4096, 8192)"},
+        {3 * kChunk + 99, &TraceRecord::daddr, 0x40000000,
+         "[12288, 12388)"},
+    };
+    for (const Flip &f : flips) {
+        std::uint32_t &value = scribble(rec, f.record).*f.field;
+        value ^= f.mask;
+        const std::string msg = integrityError(rec);
+        EXPECT_NE(msg.find("checksum mismatch in records " + f.range),
+                  std::string::npos)
+            << "record " << f.record << ": " << msg;
+        value ^= f.mask;
+        EXPECT_EQ(integrityError(rec), "") << "record " << f.record;
+    }
+}
+
+TEST(RecordedTrace, VerifyIntegrityNamesTheRecordWithABadOp)
+{
+    RecordedTrace rec = gccRecording(3 * RecordedTrace::kCrcChunkRecords);
+    scribble(rec, 5000).op = static_cast<MemOp>(3);
+    const std::string msg = integrityError(rec);
+    EXPECT_NE(msg.find("corrupted: record 5000 has op=3"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(RecordedTrace, ConstructionRejectsABadOpByRecord)
+{
+    std::vector<TraceRecord> records(
+        RecordedTrace::kCrcChunkRecords + 10,
+        TraceRecord{0x400000, 0x10000000, MemOp::Load});
+    records[RecordedTrace::kCrcChunkRecords + 3].op = static_cast<MemOp>(3);
+    try {
+        RecordedTrace rec(std::move(records), "bad-op");
+        FAIL() << "a bad op did not throw";
+    } catch (const VmsimError &e) {
+        EXPECT_EQ(e.error().code, ErrorCode::ParseError);
+        EXPECT_NE(e.error().message.find("record 4099: op=3"),
+                  std::string::npos)
+            << e.error().message;
+    }
+}
+
 TEST(TraceCache, SharesOneRecordingPerKey)
 {
     TraceCache cache(64u << 20);
