@@ -107,10 +107,10 @@ BENCHMARK(BM_HashedWalk);
 constexpr unsigned kIndexEntries = 128;
 
 std::uint64_t
-indexKey(unsigned i)
+indexKey(std::uint64_t i)
 {
     // (asid << 48) | vpn composites, like the TLB feeds the index.
-    return (static_cast<std::uint64_t>(i & 3) << 48) | (i * 7919u);
+    return ((i & 3) << 48) | (i * 7919);
 }
 
 void
@@ -141,6 +141,44 @@ BM_IndexProbeFlatMap64(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IndexProbeFlatMap64);
+
+/** The same index as replay sees it: every TLB miss under random
+ *  replacement probes for an absent key, erases a resident key and
+ *  inserts the missing one. The table is probed after 100 such
+ *  replacements per entry, in pseudo-random order, with one more
+ *  replacement every 512 probes. BM_IndexProbeFlatMap64 probes a
+ *  table that never saw an erase. */
+void
+BM_IndexProbeSteadyState(benchmark::State &state)
+{
+    FlatMap64<unsigned> index(kIndexEntries);
+    std::vector<std::uint64_t> resident(kIndexEntries);
+    for (unsigned i = 0; i < kIndexEntries; ++i) {
+        resident[i] = indexKey(i);
+        index.insertNew(resident[i], i);
+    }
+    Random rng(1);
+    std::uint64_t fresh = kIndexEntries;
+    auto replace = [&] {
+        const std::uint64_t key = indexKey(fresh++);
+        benchmark::DoNotOptimize(index.find(key));
+        const auto s = static_cast<unsigned>(rng.uniform(kIndexEntries));
+        index.erase(resident[s]);
+        resident[s] = key;
+        index.insertNew(key, s);
+    };
+    for (unsigned n = 0; n < 100 * kIndexEntries; ++n)
+        replace();
+    unsigned i = 0;
+    unsigned probes = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(index.find(resident[i]));
+        i = (5 * i + 1) % kIndexEntries; // full-period LCG over slots
+        if (++probes % 512 == 0)
+            replace();
+    }
+}
+BENCHMARK(BM_IndexProbeSteadyState);
 
 // ---- hashed-PT chain layout before/after: heap-allocated linked
 // nodes (one pointer chase per hop) vs the flat arena (an index hop
@@ -449,11 +487,13 @@ writePipelineReport(const std::string &path,
 
 /**
  * Time one quantum-scheduled multicore System::run() and return
- * (instrs/sec, Results). Batched loop; the trace is recorded once
- * inside runMulticore and fanned out to the per-core cursors.
+ * (instrs/sec, Results). Batched loop over a fresh full-length cursor
+ * on @p recording, whose buffer runMulticore shares with its per-core
+ * cursors, so only the simulation is timed.
  */
 std::pair<double, Results>
-multicoreRun(unsigned cores, Counter instrs)
+multicoreRun(unsigned cores, Counter instrs,
+             std::shared_ptr<const RecordedTrace> recording)
 {
     SimConfig cfg;
     cfg.kind = SystemKind::Ultrix;
@@ -462,9 +502,9 @@ multicoreRun(unsigned cores, Counter instrs)
     cfg.cores = cores;
     cfg.ctxSwitchInterval = 50'000;
     System sys(cfg);
-    auto source = makeWorkload("gcc", cfg.seed);
+    ReplayCursor source(std::move(recording));
     const auto t0 = std::chrono::steady_clock::now();
-    Results r = sys.run(*source, instrs, "gcc", 0);
+    Results r = sys.run(source, instrs, "gcc", 0);
     const double dt =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -476,14 +516,18 @@ multicoreRun(unsigned cores, Counter instrs)
 /**
  * The multicore scaling artifact: the same Ultrix cell scheduled on
  * 1, 2, and 4 cores, reporting simulation throughput and the
- * shootdown CPI component at each point. Written to @p path and
- * summarized on stderr.
+ * shootdown CPI component at each point. The gcc trace is recorded
+ * once, outside every timed region, and each point replays it.
+ * Written to @p path and summarized on stderr.
  */
 void
 writeMulticoreReport(const std::string &path)
 {
     const Counter instrs = 500'000;
-    multicoreRun(1, instrs); // warm allocator/branch predictors
+    auto workload = makeWorkload("gcc", SimConfig{}.seed);
+    auto recording = std::make_shared<const RecordedTrace>(
+        RecordedTrace::record(*workload, instrs, workload->name()));
+    multicoreRun(1, instrs, recording); // warm allocator/predictors
 
     Json points = Json::array();
     std::ostringstream summary;
@@ -491,7 +535,8 @@ writeMulticoreReport(const std::string &path)
         double ips = 0;
         Results r;
         for (int i = 0; i < 3; ++i) {
-            auto [this_ips, this_r] = multicoreRun(cores, instrs);
+            auto [this_ips, this_r] = multicoreRun(cores, instrs,
+                                                   recording);
             if (this_ips > ips) {
                 ips = this_ips;
                 r = std::move(this_r);

@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=address \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target base_test obs_test simulator_test error_test fault_test \
     sweep_resume_test shard_test batch_test check_test check_fuzz \
-    multicore_test pressure_test vmsim_cli
+    multicore_test pressure_test layout_test vmsim_cli
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
@@ -41,6 +41,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # FramePool recycles slots and frames through free lists while the
 # eviction path walks TLBs and page tables — lifetime-bug territory.
 "$BUILD_DIR"/tests/pressure_test
+# FlatMap64's backward-shift erase moves buckets around a wrapping
+# index; an off-by-one there reads or writes past the bucket array.
+"$BUILD_DIR"/tests/layout_test
 
 # Smoke test: a fully-instrumented CLI run whose Chrome trace must be
 # valid JSON (python3 json.tool is the arbiter when available).

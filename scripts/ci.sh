@@ -86,7 +86,7 @@ done
 # Seeded fuzz campaign: scalar/batched/observed/cached legs must agree
 # on every counter, and the report must be byte-stable across reruns.
 # Tuples draw TLB geometry (tlbEntries in {32, 64}) alongside ASID and
-# L2-TLB settings, so the flat probe index's fill/evict/tombstone
+# L2-TLB settings, so the flat probe index's fill/evict/erase
 # paths are fuzzed on every gate run.
 build/examples/vmsim_cli --fuzz=200 --seed=12345 \
     --fuzz-report="$SMOKE_DIR/fuzz_a.json" > /dev/null
@@ -296,11 +296,18 @@ echo "== perf smoke =="
 # band of the committed PR8 baseline. The band is wide (0.8x) so a
 # loaded CI box does not flake, but a real devirtualization or layout
 # regression — which costs integer factors, not percents — fails.
-build/bench/bench_micro --benchmark_filter='^$' \
+# The same run also times the TLB's flat index probe, fresh and after
+# random-replacement churn, for the steady-state gate below.
+build/bench/bench_micro \
+    --benchmark_filter='^BM_IndexProbe(FlatMap64|SteadyState)$' \
+    --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_out="$SMOKE_DIR/perf_index.json" \
+    --benchmark_out_format=json \
     --pipeline-json="$SMOKE_DIR/perf_pipeline.json" \
     --multicore-json="$SMOKE_DIR/perf_multicore.json" \
     --baseline-json=bench/baselines/BENCH_pipeline_pr8.json \
-    2> /dev/null
+    > /dev/null 2>&1
 python3 - "$SMOKE_DIR/perf_pipeline.json" <<'EOF'
 import json, sys
 
@@ -320,6 +327,28 @@ assert gain >= 0.8, (
     f"baseline {baseline['path']}")
 print(f"perf smoke ok: batched replay {replay / scalar:.2f}x scalar, "
       f"{gain:.2f}x committed baseline")
+EOF
+# A churned index must probe about as fast as a freshly filled one:
+# erase leaves no tombstones, so random replacement on every TLB miss
+# may not lengthen probe chains. Both sides come from the same run
+# (medians of interleaved repetitions), so host load cancels out.
+python3 - "$SMOKE_DIR/perf_index.json" <<'EOF'
+import json, statistics, sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+times = {}
+for b in report["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        times.setdefault(b["run_name"], []).append(b["real_time"])
+fresh = statistics.median(times["BM_IndexProbeFlatMap64"])
+steady = statistics.median(times["BM_IndexProbeSteadyState"])
+ratio = steady / fresh
+assert ratio <= 2.0, (
+    f"steady-state index probe {steady:.2f} ns is {ratio:.2f}x the "
+    f"fresh-table probe {fresh:.2f} ns (gate: <= 2x)")
+print(f"perf smoke ok: steady-state index probe {steady:.2f} ns, "
+      f"{ratio:.2f}x fresh table")
 EOF
 
 echo "== sanitizers =="

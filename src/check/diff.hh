@@ -42,7 +42,7 @@ struct FuzzTuple
     unsigned asidBits = 0;
     unsigned tlbEntries = 0;  ///< first-level TLB entries (0 = default);
                               ///< small values churn the flat probe
-                              ///< index through fills and tombstones
+                              ///< index through fills and erases
     unsigned l2TlbEntries = 0;
     std::size_t l1Size = 0;
     unsigned l1Line = 0;

@@ -636,7 +636,7 @@ checkLiveTlb(const VmSystem &vm, Counter instrs, CheckReport &rep)
         imisses += itlb->misses();
         dmisses += dtlb->misses();
         // The fully-associative flat probe index must agree with the
-        // slot arrays after any mix of fills, invalidates (tombstones)
+        // slot arrays after any mix of fills, invalidates (erases)
         // and context-switch evictions.
         rep.check(itlb->auditIndex(&why), "tlb.index-audit",
                   "core ", c, " I-TLB index inconsistent: ", why);

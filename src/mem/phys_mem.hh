@@ -148,11 +148,7 @@ class PhysMem
     Pfn nextFrame_ = 0;         ///< next frame for first-touch alloc
     std::uint64_t numFrames_ = 0;
     bool overcommitted_ = false;
-    /**
-     * First-touch vpn->frame table: open-addressed with incremental
-     * rehash, so a frameOf on the miss path never pays a
-     * stop-the-world rehash mid-replay.
-     */
+    /** First-touch vpn->frame table (open-addressed, flat). */
     FlatMap64<Pfn> map_;
     std::unique_ptr<FramePool> pool_; ///< null = unlimited (default)
     std::vector<Pfn> freeFrames_;     ///< frames recycled by evictions

@@ -131,8 +131,8 @@ class TlbVm : public VmSystem
   protected:
     /**
      * Frame-budget eviction of @p v: drop its translation from every
-     * core's I/D TLB pair (targeted tombstones, not random evictions —
-     * the invalidated VPN is known exactly).
+     * core's I/D TLB pair (targeted invalidates, not random evictions
+     * — the invalidated VPN is known exactly).
      */
     void
     invalidateTranslation(Vpn v) override

@@ -155,7 +155,7 @@ Tlb::invalidate(Vpn vpn)
     // Mirror lookup()'s dual-key rule: dropping a VPN must also drop
     // a global/protected entry, or the mapping keeps hitting after
     // invalidation. Under the flat index both erases must land even
-    // when the first one tombstones a slot on the second key's probe
+    // when the first one shifts the second key back along its probe
     // chain — tests/layout_test.cc pins this down.
     std::uint64_t keys[2] = {keyOf(vpn, tagAsid()),
                              keyOf(vpn, kGlobalAsid)};

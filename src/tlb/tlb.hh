@@ -29,7 +29,9 @@
  * set-associative dual-key ASID probe is a linear scan over packed
  * keys and a replacement-stamp update touches only the stamp line.
  * The fully-associative key->slot index is an open-addressed flat
- * probe table (FlatMap64) instead of a node-based unordered_map.
+ * probe table (FlatMap64) instead of a node-based unordered_map; its
+ * erase leaves no tombstone, so the erase-then-insert of every random
+ * replacement keeps lookups as short as in a freshly filled table.
  *
  * evictRandom() supports the multiprogramming model where competing
  * processes displace a fraction of a process's entries between its
@@ -196,8 +198,8 @@ class Tlb
      * key, every index entry must point at a valid slot holding that
      * key, and the live-entry counts must agree. Trivially true for
      * set-associative TLBs (no index). Used by checkLiveTlb and the
-     * layout tests to prove invalidate/evict tombstone accounting
-     * never leaves the probe array inconsistent. @return true if
+     * layout tests to prove invalidate/evict bookkeeping never leaves
+     * the probe array inconsistent. @return true if
      * consistent; on failure appends a reason to @p why if non-null.
      */
     bool auditIndex(std::string *why = nullptr) const;

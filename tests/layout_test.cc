@@ -2,8 +2,9 @@
  * @file
  * Tests for the hot-path data layouts (DESIGN.md "Hot-path data
  * layout"): static size/alignment guarantees of the structures the
- * replay kernels stream over, the FlatMap64 open-addressed table's
- * collision/tombstone/incremental-rehash edge cases, the TLB's flat
+ * replay kernels stream over, the FlatMap64 open-addressed table
+ * (differential against std::unordered_map, backward-shift erase in a
+ * wrapped cluster, bounded capacity under churn), the TLB's flat
  * key->slot index under ASID-tagged churn (including the dual-key
  * invalidate regression Tlb::invalidate documents), and scalar-vs-
  * batched equivalence for all nine organizations at cores=4 with
@@ -12,13 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "base/aligned.hh"
 #include "base/flat_hash.hh"
+#include "base/intmath.hh"
 #include "base/random.hh"
 #include "core/simulator.hh"
 #include "obs/event.hh"
@@ -85,92 +89,192 @@ TEST(FlatMap64, ZeroIsAValidKey)
     EXPECT_TRUE(m.empty());
 }
 
-TEST(FlatMap64, EraseTombstonesKeepProbeChainsIntact)
+// Home bucket of `key` in a FlatMap64 of `capacity` buckets: the map's
+// Fibonacci hash, mirrored here so the tests below can build clusters
+// at chosen buckets. The wrapped-cluster test checks the resulting
+// layout through forEach order, so a change of hash fails it loudly
+// instead of silently dropping its coverage.
+std::size_t
+flatHome(std::uint64_t key, std::size_t capacity)
 {
-    // Fill a small table enough that probe chains overlap, then erase
-    // every other key: lookups that probed *through* the erased slots
-    // must still reach their keys (tombstone, not empty).
-    FlatMap64<unsigned> m;
-    constexpr std::uint64_t kN = 12; // under the cap-16 grow threshold
-    for (std::uint64_t k = 0; k < kN; ++k)
-        m.insertNew(k * 0x10001, static_cast<unsigned>(k));
-    for (std::uint64_t k = 0; k < kN; k += 2)
-        EXPECT_TRUE(m.erase(k * 0x10001));
-    EXPECT_GT(m.tombstones(), 0u);
-    for (std::uint64_t k = 1; k < kN; k += 2) {
-        const unsigned *p = m.find(k * 0x10001);
-        ASSERT_NE(p, nullptr) << "key " << k;
-        EXPECT_EQ(*p, static_cast<unsigned>(k));
-    }
-    for (std::uint64_t k = 0; k < kN; k += 2)
-        EXPECT_EQ(m.find(k * 0x10001), nullptr);
-    EXPECT_EQ(m.size(), kN / 2);
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    (64 - floorLog2(capacity)));
 }
 
-TEST(FlatMap64, LookupsStayCorrectAcrossIncrementalRehash)
+TEST(FlatMap64, MatchesUnorderedMapUnderRandomOps)
 {
-    // Grow through several incremental rehashes while checking every
-    // previously inserted key after each insert — this exercises
-    // lookups that must consult both the current and draining tables
-    // mid-migration.
-    FlatMap64<std::uint64_t> m;
-    constexpr std::uint64_t kN = 600;
-    for (std::uint64_t k = 0; k < kN; ++k) {
-        m.insertNew(k, k * 3 + 1);
-        // Spot-check a spread of earlier keys (all of them every step
-        // is quadratic; a stride still crosses the drain boundary).
-        for (std::uint64_t q = 0; q <= k; q += 7) {
-            const std::uint64_t *p = m.find(q);
-            ASSERT_NE(p, nullptr) << "key " << q << " after " << k;
-            EXPECT_EQ(*p, q * 3 + 1);
+    // Differential against std::unordered_map: 16 rounds of 16K random
+    // insertNew/erase/find ops, each on a fresh map over its own
+    // universe of 8 to 40 random keys, with an occasional clear(). The
+    // small rounds stay in 16 buckets, where many keys share a home
+    // bucket and clusters wrap past the last bucket; the large ones
+    // grow the table while entries are live. Key 0 and keys >= 2^48
+    // (the TLB's ASID-tagged composites) are in every universe.
+    Random rng(20240607);
+    for (unsigned round = 0; round < 16; ++round) {
+        const std::size_t keys = 8 + (round % 8) * 32 / 7;
+        std::vector<std::uint64_t> universe = {0};
+        while (universe.size() < keys) {
+            std::uint64_t k = rng.uniform(1u << 20);
+            if (universe.size() % 2)
+                k |= (1 + rng.uniform(15)) << 48;
+            if (std::find(universe.begin(), universe.end(), k) ==
+                universe.end())
+                universe.push_back(k);
+        }
+        FlatMap64<std::uint64_t> m;
+        std::unordered_map<std::uint64_t, std::uint64_t> ref;
+        auto sameContents = [&] {
+            std::size_t seen = 0;
+            m.forEach([&](std::uint64_t k, std::uint64_t v) {
+                auto it = ref.find(k);
+                ASSERT_NE(it, ref.end()) << "stray key " << k;
+                EXPECT_EQ(v, it->second) << "key " << k;
+                ++seen;
+            });
+            EXPECT_EQ(seen, ref.size());
+        };
+        for (unsigned op = 0; op < 16'384; ++op) {
+            std::uint64_t k = universe[rng.uniform(keys)];
+            std::uint64_t r = rng.uniform(10'000);
+            if (r == 0) {
+                std::size_t cap = m.capacity();
+                m.clear();
+                ref.clear();
+                EXPECT_EQ(m.capacity(), cap);
+                for (std::uint64_t q : universe)
+                    ASSERT_EQ(m.find(q), nullptr) << "key " << q
+                                                  << " after clear";
+            } else if (r < 5'500) {
+                if (ref.count(k) == 0) {
+                    m.insertNew(k, op);
+                    ref[k] = op;
+                }
+            } else if (r < 8'500) {
+                ASSERT_EQ(m.erase(k), ref.erase(k) == 1) << "key " << k;
+            }
+            const std::uint64_t *p = m.find(k);
+            auto it = ref.find(k);
+            if (it == ref.end()) {
+                ASSERT_EQ(p, nullptr) << "key " << k << " op " << op;
+            } else {
+                ASSERT_NE(p, nullptr) << "key " << k << " op " << op;
+                ASSERT_EQ(*p, it->second);
+            }
+            ASSERT_EQ(m.size(), ref.size());
+            if (op % 256 == 0) {
+                sameContents();
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+        sameContents();
+        // 8 keys never grow the table; 40 keys reach 128 buckets.
+        if (keys == 8) {
+            EXPECT_EQ(m.capacity(), 16u);
+        } else if (keys == 40) {
+            EXPECT_EQ(m.capacity(), 128u);
         }
     }
-    EXPECT_GE(m.rehashes(), 2u);
-    EXPECT_EQ(m.size(), kN);
-    std::uint64_t seen = 0;
-    m.forEach([&](std::uint64_t k, std::uint64_t v) {
-        EXPECT_EQ(v, k * 3 + 1);
-        ++seen;
-    });
-    EXPECT_EQ(seen, kN);
 }
 
-TEST(FlatMap64, TombstoneChurnTriggersPurgeNotUnboundedGrowth)
+TEST(FlatMap64, EraseAnywhereInAWrappedCluster)
 {
-    // Insert/erase cycles at fresh keys drive `used` up through
-    // tombstones alone; the table must purge (rehash at the same or
-    // bounded capacity) instead of growing without bound or wedging.
-    FlatMap64<unsigned> m;
-    for (std::uint64_t k = 0; k < 4096; ++k) {
-        m.insertNew(k, 1u);
-        EXPECT_TRUE(m.erase(k));
+    // One cluster that runs past the end of a 16-bucket table: one key
+    // homed at bucket 14, four at bucket 15, two at bucket 0 (key 0
+    // among them) and one sitting in its home bucket 2 mid-cluster fill
+    // buckets 14, 15, 0..5. Erasing any member, head, middle or tail,
+    // must leave every other member findable: backward shift may only
+    // move an entry to a bucket on its own probe path, that path wraps,
+    // and an entry that must stay put does not end the shift.
+    constexpr std::size_t kCap = 16;
+    std::vector<std::uint64_t> at14, at15, at0 = {0}, at2;
+    for (std::uint64_t i = 1; at14.empty() || at15.size() < 4 ||
+                              at0.size() < 2 || at2.empty(); ++i) {
+        std::uint64_t k = (i % 2) ? i : ((i << 48) | i);
+        std::size_t h = flatHome(k, kCap);
+        if (h == 14 && at14.empty())
+            at14.push_back(k);
+        else if (h == 15 && at15.size() < 4)
+            at15.push_back(k);
+        else if (h == 0 && at0.size() < 2)
+            at0.push_back(k);
+        else if (h == 2 && at2.empty())
+            at2.push_back(k);
     }
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_GE(m.rehashes(), 1u);
-    EXPECT_LE(m.capacity(), 1024u);
-    for (std::uint64_t k = 0; k < 4096; ++k)
-        EXPECT_EQ(m.find(k), nullptr);
-    // The table is still healthy for reuse after the churn.
-    m.insertNew(99, 7u);
-    ASSERT_NE(m.find(99), nullptr);
-    EXPECT_EQ(*m.find(99), 7u);
+    ASSERT_EQ(flatHome(0, kCap), 0u);
+    // Insertion order interleaves the homes so displaced entries of
+    // different homes alternate along the cluster.
+    const std::vector<std::uint64_t> cluster = {
+        at14[0], at15[0], at15[1], at0[0], at2[0], at15[2], at0[1],
+        at15[3]};
+    for (std::size_t victim = 0; victim < cluster.size(); ++victim) {
+        FlatMap64<unsigned> m(4);
+        ASSERT_EQ(m.capacity(), kCap);
+        for (std::size_t i = 0; i < cluster.size(); ++i)
+            m.insertNew(cluster[i], static_cast<unsigned>(i));
+        // The layout really wraps: forEach walks buckets in order, so
+        // the cluster's wrapped part (buckets 0..5) comes first and
+        // bucket 15 comes last.
+        std::vector<std::uint64_t> order;
+        m.forEach([&](std::uint64_t k, unsigned) { order.push_back(k); });
+        ASSERT_EQ(order.size(), cluster.size());
+        ASSERT_EQ(order.front(), cluster[2]);
+        ASSERT_EQ(order.back(), cluster[1]);
+
+        ASSERT_TRUE(m.erase(cluster[victim])) << "victim " << victim;
+        EXPECT_FALSE(m.erase(cluster[victim]));
+        EXPECT_EQ(m.find(cluster[victim]), nullptr);
+        EXPECT_EQ(m.size(), cluster.size() - 1);
+        for (std::size_t i = 0; i < cluster.size(); ++i) {
+            if (i == victim)
+                continue;
+            const unsigned *p = m.find(cluster[i]);
+            ASSERT_NE(p, nullptr) << "key " << i << " lost erasing "
+                                  << victim;
+            EXPECT_EQ(*p, static_cast<unsigned>(i));
+        }
+        // Re-inserting the victim lands it back inside the cluster.
+        m.insertNew(cluster[victim], 99u);
+        ASSERT_NE(m.find(cluster[victim]), nullptr);
+        EXPECT_EQ(*m.find(cluster[victim]), 99u);
+        EXPECT_EQ(m.size(), cluster.size());
+    }
 }
 
-TEST(FlatMap64, ClearDropsEntriesAndTombstones)
+TEST(FlatMap64, RandomReplacementChurnNeverGrows)
 {
+    // The TLB's steady state: a full 128-key index where every miss
+    // erases a random resident key and inserts a fresh one. Erase
+    // leaves nothing behind, so the table never grows or rehashes and
+    // every resident key stays reachable.
+    constexpr std::size_t kLive = 128;
     FlatMap64<unsigned> m;
-    for (std::uint64_t k = 0; k < 100; ++k)
-        m.insertNew(k, static_cast<unsigned>(k));
-    for (std::uint64_t k = 0; k < 100; k += 3)
-        m.erase(k);
-    m.clear();
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_EQ(m.tombstones(), 0u);
-    EXPECT_FALSE(m.rehashInFlight());
-    for (std::uint64_t k = 0; k < 100; ++k)
-        EXPECT_EQ(m.find(k), nullptr);
-    m.insertNew(5, 55u);
-    ASSERT_NE(m.find(5), nullptr);
+    m.reserve(kLive);
+    const std::size_t cap = m.capacity();
+    std::vector<std::uint64_t> live;
+    Random rng(99);
+    for (unsigned i = 0; i < kLive; ++i) {
+        live.push_back(rng.uniform(1u << 20) | (std::uint64_t{i} << 48));
+        m.insertNew(live.back(), i);
+    }
+    std::uint64_t next = std::uint64_t{1} << 32;
+    for (unsigned op = 0; op < 100'000; ++op) {
+        unsigned slot = static_cast<unsigned>(rng.uniform(kLive));
+        ASSERT_TRUE(m.erase(live[slot]));
+        ASSERT_EQ(m.find(live[slot]), nullptr);
+        live[slot] = next++ | (rng.uniform(16) << 48);
+        m.insertNew(live[slot], slot);
+        ASSERT_EQ(m.capacity(), cap) << "grew at op " << op;
+        ASSERT_EQ(m.size(), kLive);
+        if (op % 97 == 0) {
+            for (unsigned s = 0; s < kLive; ++s) {
+                const unsigned *p = m.find(live[s]);
+                ASSERT_NE(p, nullptr) << "op " << op << " slot " << s;
+                ASSERT_EQ(*p, s);
+            }
+        }
+    }
 }
 
 // -------------------------------------------------- TLB flat-index audit
