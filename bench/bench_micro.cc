@@ -2,9 +2,10 @@
  * @file
  * M1: microbenchmarks (google-benchmark) of the simulator primitives:
  * cache access, TLB lookup/insert, hashed-table walk, synthetic trace
- * generation/replay (scalar and batched), CRC32, and the full simulation
- * step for each VM organization. These bound the wall-clock cost of
- * the sweep benches and catch performance regressions in the hot loop.
+ * generation/replay (scalar and batched), CRC32, the full simulation
+ * step for each VM organization, and one replayed cell bare and
+ * observed. These bound the wall-clock cost of the sweep benches and
+ * catch performance regressions in the hot loop.
  *
  * Besides the google-benchmark suites, the binary times the three
  * end-to-end pipeline modes — scalar generate, batched generate, and
@@ -347,6 +348,75 @@ BENCHMARK(BM_SimulatorRunBatched)
     ->Arg(static_cast<int>(SystemKind::Ultrix))
     ->Arg(static_cast<int>(SystemKind::Mach))
     ->Arg(static_cast<int>(SystemKind::Base));
+
+/**
+ * An observed/bare pair over one sweep-sized cell: ULTRIX, L1 16K,
+ * replaying a shared gcc recording of 1.25M records (1M measured plus
+ * the default 250K warmup). The observed leg attaches a
+ * LatencyCollector and a JsonlEventWriter writing to a discarding
+ * stream, so the pair's time ratio is what observing a run costs on
+ * top of simulating it, with no file I/O in either leg. ci.sh gates
+ * that ratio.
+ */
+constexpr Counter kObservedCellInstrs = 1'000'000;
+constexpr Counter kObservedCellWarmup = kObservedCellInstrs / 4;
+
+std::shared_ptr<const RecordedTrace>
+observedCellRecording()
+{
+    static const auto recording = [] {
+        auto w = makeWorkload("gcc", SimConfig{}.seed);
+        return std::make_shared<const RecordedTrace>(RecordedTrace::record(
+            *w, kObservedCellInstrs + kObservedCellWarmup, w->name()));
+    }();
+    return recording;
+}
+
+/** A stream buffer that accepts and drops every byte. */
+class DiscardBuf : public std::streambuf
+{
+  protected:
+    int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+    std::streamsize xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
+
+void
+BM_ObservedCell(benchmark::State &state)
+{
+    const bool observed = state.range(0) != 0;
+    auto recording = observedCellRecording();
+    SimConfig cfg;
+    cfg.kind = SystemKind::Ultrix;
+    cfg.l1.sizeBytes = 16_KiB;
+    DiscardBuf discard;
+    std::ostream sinkStream(&discard);
+    LatencyCollector latency; // System::run() clears it
+    JsonlEventWriter events(sinkStream);
+    std::unique_ptr<System> sys; // outlived by what it points at
+    for (auto _ : state) {
+        state.PauseTiming();
+        sys = std::make_unique<System>(cfg); // the last one dies untimed
+        if (observed) {
+            sys->attachLatency(&latency);
+            sys->attachEventSink(&events);
+        }
+        ReplayCursor source(recording);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(sys->run(source, kObservedCellInstrs,
+                                          "gcc", kObservedCellWarmup));
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(kObservedCellInstrs + kObservedCellWarmup));
+}
+BENCHMARK(BM_ObservedCell)
+    ->ArgName("observed")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Time one full System::run() of @p instrs instructions and return

@@ -297,9 +297,10 @@ echo "== perf smoke =="
 # loaded CI box does not flake, but a real devirtualization or layout
 # regression — which costs integer factors, not percents — fails.
 # The same run also times the TLB's flat index probe, fresh and after
-# random-replacement churn, for the steady-state gate below.
+# random-replacement churn, and one replayed cell bare and observed,
+# for the ratio gates below.
 build/bench/bench_micro \
-    --benchmark_filter='^BM_IndexProbe(FlatMap64|SteadyState)$' \
+    --benchmark_filter='^BM_IndexProbe(FlatMap64|SteadyState)$|^BM_ObservedCell/' \
     --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true \
     --benchmark_out="$SMOKE_DIR/perf_index.json" \
@@ -349,6 +350,44 @@ assert ratio <= 2.0, (
     f"fresh-table probe {fresh:.2f} ns (gate: <= 2x)")
 print(f"perf smoke ok: steady-state index probe {steady:.2f} ns, "
       f"{ratio:.2f}x fresh table")
+EOF
+# Observing a run must stay cheap next to simulating it: the same
+# replayed cell with a LatencyCollector and a JSONL event writer (to a
+# discarding stream) attached may take at most 2x the bare cell. When
+# every TLB hit paid a log and a divide and every event an snprintf,
+# this ratio measured 2.1-2.6; with integer histogram buckets and
+# to_chars JSONL blocks it measures 1.6-1.9.
+python3 - "$SMOKE_DIR/perf_index.json" <<'EOF'
+import json, statistics, sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+times = {}
+for b in report["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        times.setdefault(b["run_name"], []).append(b["real_time"])
+bare = statistics.median(times["BM_ObservedCell/observed:0"])
+observed = statistics.median(times["BM_ObservedCell/observed:1"])
+ratio = observed / bare
+assert ratio <= 2.0, (
+    f"observed cell {observed:.1f} ms is {ratio:.2f}x the bare cell "
+    f"{bare:.1f} ms (gate: <= 2x)")
+print(f"perf smoke ok: observed cell {ratio:.2f}x bare")
+EOF
+# More cores must not cost throughput: the multicore report replays
+# one recording on 1, 2 and 4 cores, and the 4-core point must keep
+# at least 0.9x the 1-core instructions per second.
+python3 - "$SMOKE_DIR/perf_multicore.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+ips = {p["cores"]: p["instrs_per_sec"] for p in report["points"]}
+ratio = ips[4] / ips[1]
+assert ratio >= 0.9, (
+    f"4-core run {ips[4]:.0f} instrs/s is {ratio:.2f}x the 1-core run "
+    f"{ips[1]:.0f} instrs/s (gate: >= 0.9x)")
+print(f"perf smoke ok: 4-core run {ratio:.2f}x 1-core throughput")
 EOF
 
 echo "== sanitizers =="

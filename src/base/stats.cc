@@ -1,7 +1,10 @@
 #include "base/stats.hh"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <tuple>
 
 #include "base/logging.hh"
 
@@ -15,40 +18,98 @@ Distribution::stddev() const
 }
 
 Histogram::Histogram(double lo, double hi, unsigned nbuckets)
-    : lo_(lo), hi_(hi), count_(0), underflow_(0), overflow_(0)
+    : Histogram(lo, hi, nbuckets, false)
+{}
+
+Histogram::Histogram(double lo, double hi, unsigned nbuckets, bool log)
+    : lo_(lo), hi_(hi), log_(log), count_(0), underflow_(0), overflow_(0)
 {
     fatalIf(nbuckets == 0, "Histogram needs at least one bucket");
-    fatalIf(hi <= lo, "Histogram range [", lo, ", ", hi, ") is empty");
+    fatalIf(!(lo < hi) || !std::isfinite(lo) || !std::isfinite(hi),
+            "Histogram range [", lo, ", ", hi, ") is empty or unbounded");
     width_ = (hi - lo) / nbuckets;
     buckets_.assign(nbuckets, 0);
+    if (log_) {
+        logRatio_ = std::log(hi / lo) / nbuckets;
+        // The bit pattern of a double x >= 1, read as an integer and
+        // scaled by 2^-52, is 1023 + log2(x) to within 0.09.
+        const double log2Ratio = logRatio_ / std::log(2.0);
+        guessScale_ = 0x1p-52 / log2Ratio;
+        guessOffset_ = (1023.0 + std::log2(lo)) / log2Ratio;
+    } else {
+        guessScale_ = 1.0 / width_;
+        guessOffset_ = lo / width_;
+    }
+    edges_ = sharedEdges();
 }
 
 Histogram
 Histogram::logSpaced(double lo, double hi, unsigned nbuckets)
 {
     fatalIf(lo <= 0.0, "log-spaced Histogram needs lo > 0, got ", lo);
-    Histogram h(lo, hi, nbuckets);
-    h.log_ = true;
-    h.logRatio_ = std::log(hi / lo) / nbuckets;
-    return h;
+    return Histogram(lo, hi, nbuckets, true);
+}
+
+std::size_t
+Histogram::bucketOf(double v) const
+{
+    auto idx = log_ ? static_cast<std::size_t>(std::log(v / lo_) /
+                                               logRatio_)
+                    : static_cast<std::size_t>((v - lo_) / width_);
+    return std::min(idx, buckets_.size() - 1); // fp rounding at the top
 }
 
 void
 Histogram::sample(double v)
 {
     ++count_;
-    if (v < lo_) {
+    if (v < lo_)
         ++underflow_;
-    } else if (v >= hi_) {
+    else if (v >= hi_)
         ++overflow_;
-    } else {
-        auto idx = log_ ? static_cast<std::size_t>(
-                              std::log(v / lo_) / logRatio_)
-                        : static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1; // fp rounding at the top edge
-        ++buckets_[idx];
-    }
+    else
+        ++buckets_[bucketOf(v)];
+}
+
+const std::uint64_t *
+Histogram::sharedEdges() const
+{
+    // One table per geometry for the life of the process: a sweep
+    // builds hundreds of histograms but only a handful of shapes.
+    using Geometry = std::tuple<bool, double, double, std::size_t>;
+    static std::mutex mu;
+    static std::map<Geometry, std::vector<std::uint64_t>> tables;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, fresh] =
+        tables.try_emplace(Geometry{log_, lo_, hi_, buckets_.size()});
+    std::vector<std::uint64_t> &edges = it->second;
+    if (!fresh)
+        return edges.data();
+
+    // Least integer in [a, b) satisfying @p pred, else b; pred must
+    // be monotone (false ... false true ... true) over the range.
+    auto least = [](std::uint64_t a, std::uint64_t b, auto pred) {
+        while (a < b) {
+            std::uint64_t mid = a + (b - a) / 2;
+            if (pred(mid))
+                b = mid;
+            else
+                a = mid + 1;
+        }
+        return a;
+    };
+    auto asDouble = [](std::uint64_t v) { return static_cast<double>(v); };
+    const std::size_t n = buckets_.size();
+    edges.resize(n + 1);
+    edges[0] = least(0, kExactInt,
+                     [&](std::uint64_t v) { return asDouble(v) >= lo_; });
+    edges[n] = least(edges[0], kExactInt,
+                     [&](std::uint64_t v) { return asDouble(v) >= hi_; });
+    for (std::size_t i = 1; i < n; ++i)
+        edges[i] = least(edges[i - 1], edges[n], [&](std::uint64_t v) {
+            return bucketOf(asDouble(v)) >= i;
+        });
+    return edges.data();
 }
 
 void

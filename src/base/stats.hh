@@ -9,7 +9,9 @@
 #ifndef VMSIM_BASE_STATS_HH
 #define VMSIM_BASE_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -82,6 +84,12 @@ class Distribution
  * out-of-range samples land in underflow/overflow bins. Log spacing
  * (via logSpaced()) suits latency-style data whose interesting
  * structure spans several orders of magnitude.
+ *
+ * Integer samples (cycles, probe counts) have an O(1) path,
+ * sampleInt(), that bins exactly as sample() does without a log or a
+ * divide: every geometry gets a table of integer bucket edges, built
+ * once per process from sample()'s own formula and shared by every
+ * histogram of that geometry.
  */
 class Histogram
 {
@@ -102,6 +110,53 @@ class Histogram
 
     /** Record one sample. */
     void sample(double v);
+
+    /**
+     * Record one integer sample, binned exactly as
+     * sample(static_cast<double>(v)) would bin it. A cheap estimate of
+     * the bucket (the double's bit pattern stands in for its log2) is
+     * settled against the integer edge table, so the estimate only
+     * needs to be close: within one bucket for geometries of up to
+     * about ten buckets per octave, as both LatencyCollector
+     * geometries are. Values of 2^53 and above take sample().
+     */
+    void
+    sampleInt(std::uint64_t v)
+    {
+        if (v >= kExactInt) {
+            sample(static_cast<double>(v));
+            return;
+        }
+        ++count_;
+        const unsigned n = numBuckets();
+        if (v < edges_[0]) {
+            ++underflow_;
+            return;
+        }
+        if (v >= edges_[n]) {
+            ++overflow_;
+            return;
+        }
+        // v < 2^53 and a positive double's bit pattern is below 2^63,
+        // so both convert as signed integers: one instruction each.
+        double x = static_cast<double>(static_cast<std::int64_t>(v));
+        if (log_) {
+            std::int64_t bits;
+            std::memcpy(&bits, &x, sizeof bits);
+            x = static_cast<double>(bits);
+        }
+        const double guess =
+            std::min(x * guessScale_ - guessOffset_, n - 1.0);
+        auto i = guess > 0.0 ? static_cast<unsigned>(guess) : 0u; // NaN: 0
+        // The guess is exact or one low nearly always: settle that
+        // without a branch, then walk whatever error is left.
+        i += v >= edges_[i + 1];
+        while (v >= edges_[i + 1])
+            ++i;
+        while (v < edges_[i])
+            --i;
+        ++buckets_[i];
+    }
 
     /** Clear all buckets. */
     void reset();
@@ -145,11 +200,31 @@ class Histogram
     std::string toString(const std::string &name) const;
 
   private:
+    /** Integers from here up are not all exact as doubles. */
+    static constexpr std::uint64_t kExactInt = std::uint64_t{1} << 53;
+
+    Histogram(double lo, double hi, unsigned nbuckets, bool log);
+
+    /** sample()'s bucket for in-range @p v: the reference formula. */
+    std::size_t bucketOf(double v) const;
+
+    /**
+     * This geometry's integer edges: entry i < n is the least integer
+     * that sample() bins at or above bucket i (entry 0 is the least
+     * integer >= lo), entry n the least integer >= hi, all capped at
+     * kExactInt. Built on first use of the geometry, then shared.
+     */
+    const std::uint64_t *sharedEdges() const;
+
     double lo_;
     double hi_;
     double width_;
     bool log_ = false;
     double logRatio_ = 0.0; // ln of the per-bucket growth factor
+    const std::uint64_t *edges_ = nullptr; ///< see sharedEdges()
+    /** sampleInt()'s estimate: x * guessScale_ - guessOffset_. */
+    double guessScale_ = 0.0;
+    double guessOffset_ = 0.0;
     Counter count_;
     Counter underflow_;
     Counter overflow_;

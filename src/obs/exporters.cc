@@ -1,7 +1,9 @@
 #include "obs/exporters.hh"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "base/error.hh"
 #include "base/json.hh"
@@ -32,6 +34,22 @@ throwWriteError(const std::string &path, const char *what)
                                path.empty() ? "" : ": ", path));
 }
 
+/** Copy string literal @p s to @p p; @return the end of the copy. */
+template <std::size_t N>
+char *
+put(char *p, const char (&s)[N])
+{
+    std::memcpy(p, s, N - 1);
+    return p + N - 1;
+}
+
+/** Write @p v in @p base at @p p (room for 20 digits assumed). */
+char *
+put(char *p, std::uint64_t v, int base = 10)
+{
+    return std::to_chars(p, p + 20, v, base).ptr;
+}
+
 /** Display name of a handler/PT level for trace slice labels. */
 const char *
 levelName(std::uint8_t level)
@@ -49,33 +67,68 @@ levelName(std::uint8_t level)
 } // anonymous namespace
 
 JsonlEventWriter::JsonlEventWriter(const std::string &path)
-    : owned_(openOrThrow(path)), os_(*owned_), path_(path)
+    : owned_(openOrThrow(path)), os_(*owned_), path_(path),
+      buf_(new char[kBufBytes])
 {}
 
 JsonlEventWriter::JsonlEventWriter(std::ostream &os)
-    : os_(os)
+    : os_(os), buf_(new char[kBufBytes])
 {}
+
+JsonlEventWriter::~JsonlEventWriter()
+{
+    try {
+        drain();
+    } catch (const std::exception &e) {
+        warn("JsonlEventWriter: failed to write '",
+             path_.empty() ? "<stream>" : path_, "': ", e.what());
+    } catch (...) {
+        warn("JsonlEventWriter: failed to write '",
+             path_.empty() ? "<stream>" : path_, "': unknown error");
+    }
+}
 
 void
 JsonlEventWriter::event(const TraceEvent &ev)
 {
-    char buf[192];
-    int n = std::snprintf(
-        buf, sizeof(buf),
-        "{\"kind\":\"%s\",\"level\":%u,\"instr\":%" PRIu64
-        ",\"vaddr\":\"0x%" PRIx64 "\",\"vpn\":%" PRIu64
-        ",\"cycles\":%" PRIu64 "}\n",
-        eventKindName(ev.kind), unsigned{ev.level}, ev.instr, ev.vaddr,
-        ev.vpn, ev.cycles);
-    os_.write(buf, n);
     if (!os_)
-        throwWriteError(path_, "short write of JSONL event");
+        throwWriteError(path_, "JSONL event stream is bad");
+    if (used_ > kBufBytes - kMaxRecord)
+        drain();
+    const char *kind = eventKindName(ev.kind);
+    const std::size_t kindLen = std::strlen(kind);
+    char *p = put(buf_.get() + used_, "{\"kind\":\"");
+    std::memcpy(p, kind, kindLen);
+    p = put(p + kindLen, "\",\"level\":");
+    p = put(p, ev.level);
+    p = put(p, ",\"instr\":");
+    p = put(p, ev.instr);
+    p = put(p, ",\"vaddr\":\"0x");
+    p = put(p, ev.vaddr, 16);
+    p = put(p, "\",\"vpn\":");
+    p = put(p, ev.vpn);
+    p = put(p, ",\"cycles\":");
+    p = put(p, ev.cycles);
+    p = put(p, "}\n");
+    used_ = static_cast<std::size_t>(p - buf_.get());
     ++written_;
+}
+
+void
+JsonlEventWriter::drain()
+{
+    if (used_ == 0)
+        return;
+    os_.write(buf_.get(), static_cast<std::streamsize>(used_));
+    used_ = 0; // a failed block is lost either way; never resend it
+    if (!os_)
+        throwWriteError(path_, "short write of JSONL events");
 }
 
 void
 JsonlEventWriter::flush()
 {
+    drain();
     os_.flush();
     if (!os_)
         throwWriteError(path_, "cannot flush JSONL event stream");

@@ -13,6 +13,7 @@
 #ifndef VMSIM_OBS_EXPORTERS_HH
 #define VMSIM_OBS_EXPORTERS_HH
 
+#include <cstddef>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -31,8 +32,10 @@ namespace vmsim
  *   {"kind":"pte_fetch","level":2,"instr":1234,
  *    "vaddr":"0x81200040","vpn":17,"cycles":0}
  *
- * Records are hand-formatted (no Json tree per event) so a fully
- * traced run stays I/O-bound, not allocation-bound.
+ * Records are hand-formatted with std::to_chars (no Json tree, no
+ * printf) into a block buffer that goes to the stream in one write
+ * when it fills, on flush() and on destruction, so a fully traced run
+ * stays I/O-bound, not formatting-bound.
  */
 class JsonlEventWriter : public EventSink
 {
@@ -43,19 +46,44 @@ class JsonlEventWriter : public EventSink
      */
     explicit JsonlEventWriter(const std::string &path);
 
-    /** Write to a borrowed stream (not owned). */
+    /** Write to a borrowed stream (not owned; must outlive this). */
     explicit JsonlEventWriter(std::ostream &os);
 
-    /** Throws VmsimError (IoError) when the stream goes bad. */
+    /**
+     * Writes out buffered records; a failure is logged (destructors
+     * must not throw), never silently swallowed.
+     */
+    ~JsonlEventWriter() override;
+
+    JsonlEventWriter(const JsonlEventWriter &) = delete;
+    JsonlEventWriter &operator=(const JsonlEventWriter &) = delete;
+
+    /**
+     * Buffer one record. Throws VmsimError (IoError) when the stream
+     * is bad or writing out a full buffer fails.
+     */
     void event(const TraceEvent &ev) override;
+
+    /** Write out buffered records and flush the stream; throws like
+     *  event(). */
     void flush() override;
 
     Counter eventsWritten() const { return written_; }
 
   private:
+    /** Hand the buffered records to the stream; throws on failure. */
+    void drain();
+
+    static constexpr std::size_t kBufBytes = 16 * 1024;
+    /** Room one record needs: the longest (14-char kind, 3-digit
+     *  level, three 20-digit decimals, 16 hex digits) is 153 bytes. */
+    static constexpr std::size_t kMaxRecord = 160;
+
     std::unique_ptr<std::ofstream> owned_;
     std::ostream &os_;
     std::string path_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t used_ = 0;
     Counter written_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include "base/bitfield.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
-#include "base/stats.hh"
 
 namespace vmsim
 {
@@ -222,20 +221,6 @@ Tlb::setCurrentAsid(Asid asid)
 {
     curAsid_ = asid;
     curTag_ = params_.tagged() ? (curAsid_ & asidMask_) : 0;
-}
-
-void
-Tlb::sampleReuse(unsigned s)
-{
-    reuseHist_->sample(static_cast<double>(probes_ - lastProbe_[s]));
-    lastProbe_[s] = probes_;
-}
-
-void
-Tlb::noteEvict(unsigned s)
-{
-    if (lifeHist_ && valid_[s])
-        lifeHist_->sample(static_cast<double>(probes_ - fillProbe_[s]));
 }
 
 void

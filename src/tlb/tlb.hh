@@ -48,12 +48,11 @@
 #include "base/aligned.hh"
 #include "base/flat_hash.hh"
 #include "base/random.hh"
+#include "base/stats.hh"
 #include "base/types.hh"
 
 namespace vmsim
 {
-
-class Histogram;
 
 /** Replacement policy for the TLB's slot regions. */
 enum class TlbRepl : std::uint8_t { Random, LRU, FIFO };
@@ -132,8 +131,10 @@ class Tlb
         }
         ++hits_;
         if constexpr (kObs) {
-            if (reuseHist_)
-                sampleReuse(s);
+            if (reuseHist_) {
+                reuseHist_->sampleInt(probes_ - lastProbe_[s]);
+                lastProbe_[s] = probes_;
+            }
         }
         if (params_.repl == TlbRepl::LRU)
             stamps_[s] = ++stamp_;
@@ -276,11 +277,13 @@ class Tlb
         hi = lo + params_.assoc;
     }
 
-    /** Sample slot @p s's reuse distance (reuseHist_ attached). */
-    void sampleReuse(unsigned s);
-
     /** Sample slot @p s's lifetime into lifeHist_ if it is valid. */
-    void noteEvict(unsigned s);
+    void
+    noteEvict(unsigned s)
+    {
+        if (lifeHist_ && valid_[s])
+            lifeHist_->sampleInt(probes_ - fillProbe_[s]);
+    }
 
     /** Stamp slot @p s's fill time on the residency clock. */
     void

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -404,7 +406,123 @@ TEST(Histogram, InvalidConstruction)
     EXPECT_THROW(Histogram(0.0, 1.0, 0), FatalError);
     EXPECT_THROW(Histogram(1.0, 1.0, 4), FatalError);
     EXPECT_THROW(Histogram(2.0, 1.0, 4), FatalError);
+    EXPECT_THROW(Histogram(0.0, std::nan(""), 4), FatalError);
+    EXPECT_THROW(
+        Histogram(0.0, std::numeric_limits<double>::infinity(), 4),
+        FatalError);
     setQuiet(false);
+}
+
+/**
+ * Where sample() bins @p v, from the public geometry and the same
+ * formula: -1 for underflow, numBuckets() for overflow.
+ */
+long
+referenceBin(const Histogram &h, double v)
+{
+    const unsigned n = h.numBuckets();
+    if (v < h.lo())
+        return -1;
+    if (v >= h.hi())
+        return n;
+    auto idx = h.isLog()
+                   ? static_cast<std::size_t>(
+                         std::log(v / h.lo()) /
+                         (std::log(h.hi() / h.lo()) / n))
+                   : static_cast<std::size_t>(
+                         (v - h.lo()) / ((h.hi() - h.lo()) / n));
+    return static_cast<long>(std::min<std::size_t>(idx, n - 1));
+}
+
+/** The bin referenceBin() names for @p bin: underflow, bucket, overflow. */
+Counter
+binCount(const Histogram &h, long bin)
+{
+    if (bin < 0)
+        return h.underflow();
+    if (bin >= static_cast<long>(h.numBuckets()))
+        return h.overflow();
+    return h.bucket(static_cast<unsigned>(bin));
+}
+
+/** sampleInt(@p v) must land in exactly the bin sample() would use. */
+void
+expectIntBin(Histogram &h, std::uint64_t v)
+{
+    const long want = referenceBin(h, static_cast<double>(v));
+    const Counter before = binCount(h, want);
+    const Counter n = h.count();
+    h.sampleInt(v);
+    ASSERT_EQ(h.count(), n + 1);
+    ASSERT_EQ(binCount(h, want), before + 1)
+        << h.geometryString() << ": " << v << " belongs in bin " << want;
+}
+
+TEST(Histogram, IntegerBucketsMatchTheReferenceFormula)
+{
+    const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    // Both LatencyCollector geometries, a uniform one whose lo and
+    // width are not integers, so edges fall between integers, and one
+    // whose bucket estimate overshoots: 500 lands in bucket 14 but
+    // 500 * (1 / width) rounds to 15.
+    std::vector<Histogram> geometries = {
+        Histogram::logSpaced(1.0, 1e6, 24),
+        Histogram::logSpaced(1.0, 1e8, 32),
+        Histogram(10.5, 5e6 + 0.25, 37),
+        Histogram(0.0, 1000.0, 30),
+    };
+    for (Histogram &h : geometries) {
+        Histogram byDouble = h;
+        auto check = [&](std::uint64_t v) {
+            expectIntBin(h, v);
+            byDouble.sample(static_cast<double>(v));
+        };
+        for (std::uint64_t v = 0; v < (1u << 20); ++v)
+            check(v);
+        for (unsigned i = 0; i <= h.numBuckets(); ++i) {
+            const auto edge =
+                static_cast<std::uint64_t>(std::ceil(h.bucketLo(i)));
+            for (std::uint64_t v = edge > 1024 ? edge - 1024 : 0;
+                 v <= edge + 1024; ++v)
+                check(v);
+        }
+        const auto lo = static_cast<std::uint64_t>(h.lo());
+        const auto hi = static_cast<std::uint64_t>(h.hi());
+        const std::uint64_t exact = std::uint64_t{1} << 53;
+        for (std::uint64_t v : {lo, lo + 1, hi - 1, hi, hi + 1, 2 * hi,
+                                exact - 1, exact, exact + 1, kMax})
+            check(v);
+        if (lo > 0)
+            check(lo - 1);
+        // Bin for bin, the integer path is the double path.
+        EXPECT_EQ(h.count(), byDouble.count());
+        EXPECT_EQ(h.underflow(), byDouble.underflow());
+        EXPECT_EQ(h.overflow(), byDouble.overflow());
+        if (h.lo() > 0.0)
+            EXPECT_GT(h.underflow(), 0u);
+        EXPECT_GT(h.overflow(), 0u);
+        for (unsigned i = 0; i < h.numBuckets(); ++i) {
+            EXPECT_EQ(h.bucket(i), byDouble.bucket(i)) << i;
+            EXPECT_GT(h.bucket(i), 0u) << h.geometryString() << " " << i;
+        }
+    }
+}
+
+TEST(Histogram, IntegerBucketsPastTwoToThe53)
+{
+    // A range that ends beyond the exactly-representable integers:
+    // values from 2^53 up take the double path, and just below it the
+    // capped edge table must still agree.
+    Histogram h = Histogram::logSpaced(1.0, 1e18, 18);
+    const std::uint64_t top = std::uint64_t{1} << 53;
+    for (std::uint64_t v = top - 4096; v <= top + 4096; ++v)
+        expectIntBin(h, v);
+    for (std::uint64_t v : {std::uint64_t{999'999'999'999'999'999},
+                            std::uint64_t{1'000'000'000'000'000'000},
+                            std::numeric_limits<std::uint64_t>::max()})
+        expectIntBin(h, v);
+    // 10^18 - 1 rounds to 10^18 as a double, so it overflows too.
+    EXPECT_EQ(h.overflow(), 3u);
 }
 
 TEST(Histogram, Reset)

@@ -12,13 +12,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cinttypes>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "base/error.hh"
 #include "base/logging.hh"
 #include "check/invariants.hh"
 #include "core/simulator.hh"
@@ -262,6 +268,125 @@ TEST(ObsReconcile, EventCountsMatchVmCounters)
         EXPECT_TRUE(JsonChecker(line).valid()) << line;
     }
     EXPECT_EQ(n_lines, jsonl.eventsWritten());
+}
+
+/** The JSONL record as the printf-based writer formatted it. */
+std::string
+printfJsonlRecord(const TraceEvent &ev)
+{
+    char buf[256];
+    int n = std::snprintf(
+        buf, sizeof(buf),
+        "{\"kind\":\"%s\",\"level\":%u,\"instr\":%" PRIu64
+        ",\"vaddr\":\"0x%" PRIx64 "\",\"vpn\":%" PRIu64
+        ",\"cycles\":%" PRIu64 "}\n",
+        eventKindName(ev.kind), unsigned{ev.level}, ev.instr, ev.vaddr,
+        ev.vpn, ev.cycles);
+    return std::string(buf, static_cast<std::size_t>(n));
+}
+
+TEST(ObsJsonl, BytesMatchPrintfReference)
+{
+    const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t values[] = {0, 1, 0x81200040, kMax};
+    std::ostringstream out;
+    JsonlEventWriter writer(out);
+    std::vector<std::string> want;
+    for (unsigned k = 0; k < kNumEventKinds; ++k)
+        for (unsigned level : {0u, 1u, 2u, 255u})
+            for (std::uint64_t instr : values)
+                for (std::uint64_t vaddr : values)
+                    for (std::uint64_t vpn : values)
+                        for (std::uint64_t cycles : values) {
+                            TraceEvent ev;
+                            ev.kind = static_cast<EventKind>(k);
+                            ev.level = static_cast<std::uint8_t>(level);
+                            ev.instr = instr;
+                            ev.vaddr = vaddr;
+                            ev.vpn = vpn;
+                            ev.cycles = cycles;
+                            writer.event(ev);
+                            want.push_back(printfJsonlRecord(ev));
+                        }
+    ASSERT_EQ(writer.eventsWritten(), want.size());
+    writer.flush();
+    std::istringstream got(out.str());
+    std::string line;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(std::getline(got, line)) << "record " << i;
+        ASSERT_EQ(line + "\n", want[i]) << "record " << i;
+    }
+    EXPECT_FALSE(std::getline(got, line));
+}
+
+TEST(ObsJsonl, DestructionWritesOutBufferedRecords)
+{
+    std::ostringstream out;
+    TraceEvent ev;
+    ev.kind = EventKind::DtlbMiss;
+    ev.vpn = 17;
+    {
+        JsonlEventWriter writer(out);
+        writer.event(ev);
+        writer.event(ev);
+        EXPECT_EQ(writer.eventsWritten(), 2u);
+    }
+    EXPECT_EQ(out.str(), printfJsonlRecord(ev) + printfJsonlRecord(ev));
+}
+
+TEST(ObsJsonl, WriteFailureRaisesIoErrorNamingTheDestination)
+{
+    static_assert(std::is_nothrow_destructible_v<JsonlEventWriter>);
+    TraceEvent ev;
+    ev.kind = EventKind::PteFetch;
+
+    // A borrowed stream that has gone bad: no path to name, so the
+    // error says "<stream>".
+    std::ostringstream bad;
+    {
+        JsonlEventWriter writer(bad);
+        bad.setstate(std::ios::badbit);
+        try {
+            writer.event(ev);
+            FAIL() << "event() on a bad stream did not throw";
+        } catch (const VmsimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::IoError);
+            EXPECT_NE(std::string(e.what()).find("<stream>"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(writer.flush(), VmsimError);
+        EXPECT_EQ(writer.eventsWritten(), 0u);
+    } // the destructor runs on the bad stream without throwing
+
+    // Records still buffered when the stream goes bad: the destructor
+    // fails to write them out, and logs that instead of throwing.
+    std::ostringstream late;
+    auto buffered = std::make_unique<JsonlEventWriter>(late);
+    buffered->event(ev);
+    late.setstate(std::ios::badbit);
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(buffered.reset());
+    const std::string logged = testing::internal::GetCapturedStderr();
+    EXPECT_NE(logged.find("failed to write '<stream>'"), std::string::npos)
+        << logged;
+
+    // An owned file whose writes fail: /dev/full accepts the open and
+    // refuses every byte once the stream buffer spills.
+    if (!std::ofstream("/dev/full").is_open())
+        GTEST_SKIP() << "/dev/full is not available";
+    auto writer = std::make_unique<JsonlEventWriter>("/dev/full");
+    std::string what;
+    try {
+        for (int i = 0; i < 1'000'000; ++i)
+            writer->event(ev);
+        writer->flush();
+    } catch (const VmsimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::IoError);
+        what = e.what();
+    }
+    EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+    EXPECT_NO_THROW(writer.reset());
 }
 
 TEST(ObsReconcile, WarmupEventsAreNotReported)

@@ -110,6 +110,25 @@ options(const TempDir &dir, const std::string &owner,
     return opts;
 }
 
+/**
+ * Wait until the shard log at @p path holds a complete lease record,
+ * polling for up to 30 s. @return whether one appeared.
+ */
+bool
+waitForLease(const std::string &path)
+{
+    for (int i = 0; i < 3000; ++i) {
+        std::ifstream in(path);
+        std::string line;
+        // A line is complete only if getline stopped at its newline.
+        while (std::getline(in, line) && !in.eof())
+            if (line.find("\"lease\":") != std::string::npos)
+                return true;
+        ::usleep(10'000);
+    }
+    return false;
+}
+
 // ---------------------------------------------------------------- CRC
 
 TEST(CrcFrame, RoundTripsPayload)
@@ -240,8 +259,10 @@ TEST(Shard, TwoLiveWorkersOneCrashesMidSweep)
     TempDir dir;
     // Worker A SIGKILLs itself on its first commit append (header,
     // lease, then boom) while holding the lease on its claimed cell;
-    // worker B, running concurrently with a short reclaim horizon,
-    // waits the lease out and finishes the grid.
+    // worker B, with a short reclaim horizon, waits the lease out and
+    // finishes the grid. B starts only once A's lease is on disk:
+    // started together, B could commit all three cells before A
+    // leased one, and A would exit cleanly without ever crashing.
     ShardOptions aOpts = options(dir, "a", 0.3);
     aOpts.crash = CrashPlan::parse("after=2,torn=1").orThrow();
     ShardOptions bOpts = options(dir, "b", 0.3);
@@ -249,12 +270,14 @@ TEST(Shard, TwoLiveWorkersOneCrashesMidSweep)
                   runShardWorker(spec, aOpts);
                   return 0;
               }).orThrow();
+    const bool aLeased = waitForLease(dir.path() + "/shard-a.jsonl");
     pid_t b = spawnFunction([&] {
                   runShardWorker(spec, bOpts);
                   return 0;
               }).orThrow();
     ExitStatus aStatus = waitProcess(a).orThrow();
     ExitStatus bStatus = waitProcess(b).orThrow();
+    EXPECT_TRUE(aLeased) << "worker A never wrote a lease record";
     EXPECT_TRUE(aStatus.signaled);
     EXPECT_EQ(aStatus.signal, SIGKILL);
     EXPECT_TRUE(bStatus.exited);
