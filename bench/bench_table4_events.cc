@@ -23,7 +23,11 @@ struct Observed
     Counter pteLoads = 0, interrupts = 0, hwCycles = 0;
 };
 
-/** Drive one cold data reference through a freshly built system. */
+/**
+ * Drive one cold data reference, with no fetch before it, through a
+ * freshly built system of kind @p kind; @p VM is its organization type.
+ */
+template <class VM>
 Observed
 coldMiss(SystemKind kind)
 {
@@ -32,7 +36,7 @@ coldMiss(SystemKind kind)
     cfg.l1 = CacheParams{32_KiB, 32};
     cfg.l2 = CacheParams{1_MiB, 64};
     System sys(cfg);
-    sys.vm().dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(dynamic_cast<VM &>(sys.vm()), Access{0x10000000, 0, false});
     const VmStats &s = sys.vm().vmStats();
     return Observed{s.uhandlerInstrs, s.khandlerInstrs, s.rhandlerInstrs,
                     s.pteLoads,       s.interrupts,     s.hwWalkCycles};
@@ -66,19 +70,23 @@ main(int argc, char **argv)
     struct Expect
     {
         SystemKind kind;
+        Observed (*coldMiss)(SystemKind);
         const char *user, *kernel, *root;
     };
     const Expect expects[] = {
-        {SystemKind::Ultrix, "10 instrs", "n.a.", "20 instrs"},
-        {SystemKind::Mach, "10 instrs", "20 instrs",
+        {SystemKind::Ultrix, coldMiss<UltrixVm>, "10 instrs", "n.a.",
+         "20 instrs"},
+        {SystemKind::Mach, coldMiss<MachVm>, "10 instrs", "20 instrs",
          "500 instrs + 10 admin"},
-        {SystemKind::Intel, "7 cycles", "n.a.", "n.a."},
-        {SystemKind::Parisc, "20 instrs", "n.a.", "n.a."},
-        {SystemKind::Notlb, "10 instrs", "n.a.", "20 instrs"},
+        {SystemKind::Intel, coldMiss<IntelVm>, "7 cycles", "n.a.", "n.a."},
+        {SystemKind::Parisc, coldMiss<PariscVm>, "20 instrs", "n.a.",
+         "n.a."},
+        {SystemKind::Notlb, coldMiss<NotlbVm>, "10 instrs", "n.a.",
+         "20 instrs"},
     };
 
     for (const Expect &e : expects) {
-        Observed o = coldMiss(e.kind);
+        Observed o = e.coldMiss(e.kind);
         std::string user_obs =
             e.kind == SystemKind::Intel
                 ? std::to_string(o.hwCycles) + " cycles"

@@ -50,21 +50,31 @@ class TwoLevelHashedVm : public VmSystem
         walkBuf_.reserve(16);
     }
 
+    /**
+     * The reference kernels the shared block loop (refBlockFor) calls
+     * for every record: non-virtual, instantiated with and without the
+     * observer tests (kObs). This organization keeps a single TLB pair
+     * and no per-core lane, so it takes VmSystem's empty NoLane.
+     */
+    template <bool kObs>
     void
-    instRef(const Access &a) override
+    instRefK(const Access &a, NoLane)
     {
-        if (!itlb_.lookup(pt_.vpnOf(a.addr)))
+        if (!itlb_.lookupT<kObs>(pt_.vpnOf(a.addr)))
             walk(a.addr, itlb_);
         mem_.instFetch(a.addr, AccessClass::User);
     }
 
+    template <bool kObs>
     void
-    dataRef(const Access &a) override
+    dataRefK(const Access &a, NoLane)
     {
-        if (!dtlb_.lookup(pt_.vpnOf(a.addr)))
+        if (!dtlb_.lookupT<kObs>(pt_.vpnOf(a.addr)))
             walk(a.addr, dtlb_);
         mem_.dataAccess(a.addr, kDataBytes, a.store, AccessClass::User);
     }
+
+    void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }
 
     const Tlb *itlb(CoreId) const override { return &itlb_; }
     const Tlb *dtlb(CoreId) const override { return &dtlb_; }
@@ -185,7 +195,7 @@ main(int argc, char **argv)
 
     table.print(std::cout);
     std::cout << "\nThe custom design is ~40 lines of subclass: "
-                 "implement instRef/dataRef, drive\nthe shared caches "
+                 "implement instRefK/dataRefK, drive\nthe shared caches "
                  "with AccessClass-tagged references, and the Results\n"
                  "machinery produces the paper's accounting "
                  "automatically.\n";

@@ -14,7 +14,10 @@ cd "$(dirname "$0")/.."
 JOBS=${1:-$(nproc)}
 
 echo "== tier-1: build + ctest =="
-cmake -B build -S .
+# Warnings are errors here, so a new one cannot hide in the build log.
+# Only this configure sets it: CMakeLists.txt stays warning-tolerant
+# for other compilers and for perfbench, which builds ../src itself.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
@@ -244,11 +247,12 @@ scripts/golden_replay.sh build > "$SMOKE_DIR/golden_now.txt"
 cmp tests/golden/replay_sha256.txt "$SMOKE_DIR/golden_now.txt"
 
 echo "== kernel lint =="
-# The devirtualized per-record kernels, and the inline cache path they
-# call, live between LINT-KERNEL-BEGIN and LINT-KERNEL-END markers. Virtual dispatch or node-based hash
-# probes reappearing inside them is a silent hot-path regression: the
-# code still passes every equivalence test, just slower. Fail instead.
-for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh src/mem/cache.hh \
+# The one block loop (refBlockKernel), and the inline cache path its
+# kernels call, live between LINT-KERNEL-BEGIN and LINT-KERNEL-END
+# markers. Virtual dispatch or node-based hash probes reappearing
+# inside them is a silent hot-path regression: the code still passes
+# every equivalence test, just slower. Fail instead.
+for hot_hdr in src/os/vm_system.hh src/mem/cache.hh \
                src/mem/mem_system.hh; do
     test -f "$hot_hdr"
     grep -q "LINT-KERNEL-BEGIN" "$hot_hdr"
@@ -258,19 +262,14 @@ for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh src/mem/cache.hh \
              "a LINT-KERNEL region of $hot_hdr" >&2
         exit 1
     fi
-    if printf '%s\n' "$region" | grep -nE '\.(instRef|dataRef)\('; then
-        echo "kernel lint: per-record virtual instRef/dataRef call" \
-             "inside a LINT-KERNEL region of $hot_hdr (use the" \
-             "monomorphized instRefK/dataRefK kernels)" >&2
-        exit 1
-    fi
 done
-# The simulator drives every organization through refBlock() alone:
-# a per-reference virtual instRef/dataRef call creeping back into its
-# one loop would bypass the block kernels.
-if grep -nE '(\.|->)(instRef|dataRef)\(' src/core/simulator.cc; then
-    echo "kernel lint: instRef/dataRef call in src/core/simulator.cc" \
-         "(drive organizations through refBlock)" >&2
+# refBlock() is the one reference entry point and refBlockKernel the
+# one block loop: a scalar instRef/dataRef entry point or a second,
+# per-organization block loop (refBlockT) must not come back anywhere.
+if grep -rnwE 'instRef|dataRef|refBlockT' src bench examples; then
+    echo "kernel lint: scalar instRef/dataRef or a second block loop" \
+         "(use refBlockFor, or instRefOnce/dataRefOnce for a single" \
+         "reference)" >&2
     exit 1
 fi
 # The flat data-layout files must never regrow a node-based map

@@ -61,6 +61,8 @@ struct ClassCounters
     Counter accesses = 0;
     Counter l1Misses = 0;
     Counter l2Misses = 0;
+
+    bool operator==(const ClassCounters &) const = default;
 };
 
 /** All counters kept by a MemSystem. */
@@ -79,6 +81,7 @@ struct MemSystemStats
     }
 
     void reset() { *this = MemSystemStats{}; }
+    bool operator==(const MemSystemStats &) const = default;
 };
 
 /**

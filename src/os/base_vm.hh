@@ -23,23 +23,21 @@ namespace vmsim
 class BaseVm : public VmSystem
 {
   public:
-    explicit BaseVm(MemSystem &mem);
+    explicit BaseVm(MemSystem &mem) : VmSystem("BASE", mem) {}
 
-    void instRef(const Access &a) override { instRefK<true>(a); }
-    void dataRef(const Access &a) override { dataRefK<true>(a); }
-    void refBlock(const AccessBlock &blk) override;
+    void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }
 
     /** Monomorphized kernels: the whole reference is the cache probe. */
     template <bool kObs>
     void
-    instRefK(const Access &a)
+    instRefK(const Access &a, NoLane)
     {
         userInstFetchT<kObs>(a.addr);
     }
 
     template <bool kObs>
     void
-    dataRefK(const Access &a)
+    dataRefK(const Access &a, NoLane)
     {
         userDataAccessT<kObs>(a.addr, a.store);
     }

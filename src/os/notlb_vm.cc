@@ -36,10 +36,4 @@ NotlbVm::missHandler(Addr vaddr)
     }
 }
 
-void
-NotlbVm::refBlock(const AccessBlock &blk)
-{
-    refBlockFor(*this, blk);
-}
-
 } // namespace vmsim

@@ -32,10 +32,4 @@ SpurVm::hwMissWalk(Addr vaddr)
     endHwWalk();
 }
 
-void
-SpurVm::refBlock(const AccessBlock &blk)
-{
-    refBlockFor(*this, blk);
-}
-
 } // namespace vmsim

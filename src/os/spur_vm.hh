@@ -30,9 +30,7 @@ class SpurVm : public VmSystem
            const HandlerCosts &costs = HandlerCosts{},
            unsigned page_bits = 12);
 
-    void instRef(const Access &a) override { instRefK<true>(a); }
-    void dataRef(const Access &a) override { dataRefK<true>(a); }
-    void refBlock(const AccessBlock &blk) override;
+    void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }
 
     /**
      * Monomorphized kernels for the batched loop: the FSM walk runs
@@ -40,7 +38,7 @@ class SpurVm : public VmSystem
      */
     template <bool kObs>
     void
-    instRefK(const Access &a)
+    instRefK(const Access &a, NoLane)
     {
         if (userInstFetchT<kObs>(a.addr) == MemLevel::Memory)
             hwMissWalk(a.addr);
@@ -48,7 +46,7 @@ class SpurVm : public VmSystem
 
     template <bool kObs>
     void
-    dataRefK(const Access &a)
+    dataRefK(const Access &a, NoLane)
     {
         if (userDataAccessT<kObs>(a.addr, a.store) == MemLevel::Memory)
             hwMissWalk(a.addr);

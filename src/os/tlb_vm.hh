@@ -10,18 +10,18 @@
  * (Section 3.1): probe the core's I- or D-TLB, on a miss run the
  * organization's refill mechanism (`Derived::walk`), then issue the
  * user cache access. Only `walk` differs. The base therefore owns the
- * CoreTlbs and the loop; the derived class contributes its walk as a
- * plain non-virtual member that the kernel calls through
+ * CoreTlbs and the kernels; the derived class contributes its walk as
+ * a plain non-virtual member that the kernel calls through
  * `static_cast<Derived *>(this)` — resolved at compile time, inlined
- * into the batch loop.
+ * into the block loop.
  *
  * Each kernel instantiates twice (kObs true/false): the observed body
  * keeps every event-sink and latency-collector test, the bare body
- * compiles them out. refBlock() selects once per batch via
- * VmSystem::observedRefs() — the per-batch prologue that hoists the
- * observer null tests, the per-core TLB pair, and (inside
- * noteItlbMiss/noteDtlbMiss, which only run on the miss path) the
- * per-core stats lookup out of the per-record loop.
+ * compiles them out. refBlock() runs the shared refBlockKernel loop,
+ * which tests the observers once per block and takes the block core's
+ * TLB pair (its lane) once, before the first record; the per-core
+ * stats lookup sits inside noteItlbMiss/noteDtlbMiss, on the miss
+ * path only.
  */
 
 #ifndef VMSIM_OS_TLB_VM_HH
@@ -59,20 +59,29 @@ class TlbVm : public VmSystem
           pageBits_(page_bits)
     {}
 
+    /** The kernels' per-block lane: one core's I/D TLB pair. */
+    struct Lane
+    {
+        Tlb &itlb;
+        Tlb &dtlb;
+    };
+
+    Lane lane(CoreId core) { return {tlbs_.itlb(core), tlbs_.dtlb(core)}; }
+
     /**
-     * Monomorphized instruction-fetch kernel: probe @p itlb (the
-     * issuing core's I-TLB, hoisted by the caller), refill via
-     * Derived::walk on a miss, then fetch through the I-side caches.
+     * Monomorphized instruction-fetch kernel: probe the lane's I-TLB,
+     * refill via Derived::walk on a miss, then fetch through the I-side
+     * caches.
      */
     template <bool kObs>
     void
-    instRefK(const Access &a, Tlb &itlb)
+    instRefK(const Access &a, Lane lane)
     {
         const Addr pc = a.addr;
         const Vpn v = pc >> pageBits_;
-        if (!itlb.template lookupT<kObs>(v)) {
+        if (!lane.itlb.template lookupT<kObs>(v)) {
             noteItlbMiss(pc, v, a.core);
-            self().walk(pc, a.core, itlb);
+            self().walk(pc, a.core, lane.itlb);
             endMissService();
         }
         userInstFetchT<kObs>(pc);
@@ -81,44 +90,20 @@ class TlbVm : public VmSystem
     /** The data-side twin of instRefK(). */
     template <bool kObs>
     void
-    dataRefK(const Access &a, Tlb &dtlb)
+    dataRefK(const Access &a, Lane lane)
     {
         const Addr addr = a.addr;
         const Vpn v = addr >> pageBits_;
-        if (!dtlb.template lookupT<kObs>(v)) {
+        if (!lane.dtlb.template lookupT<kObs>(v)) {
             noteDtlbMiss(addr, v, a.core);
-            self().walk(addr, a.core, dtlb);
+            self().walk(addr, a.core, lane.dtlb);
             endMissService();
         }
         userDataAccessT<kObs>(addr, a.store);
         notePressureStore(addr, a.store);
     }
 
-    void
-    instRef(const Access &a) override
-    {
-        instRefK<true>(a, tlbs_.itlb(a.core));
-    }
-
-    void
-    dataRef(const Access &a) override
-    {
-        dataRefK<true>(a, tlbs_.dtlb(a.core));
-    }
-
-    /**
-     * Batched dispatch: one observer test and one core-to-TLB lookup
-     * per block, then the whole block runs through the matching
-     * monomorphized kernel pair.
-     */
-    void
-    refBlock(const AccessBlock &blk) override
-    {
-        if (observedRefs())
-            refBlockT<true>(blk);
-        else
-            refBlockT<false>(blk);
-    }
+    void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }
 
     const Tlb *itlb(CoreId core) const override { return &tlbs_.itlb(core); }
     const Tlb *dtlb(CoreId core) const override { return &tlbs_.dtlb(core); }
@@ -148,31 +133,6 @@ class TlbVm : public VmSystem
 
   private:
     Derived &self() { return static_cast<Derived &>(*this); }
-
-    // LINT-KERNEL-BEGIN (tlb_vm)
-    template <bool kObs>
-    void
-    refBlockT(const AccessBlock &blk)
-    {
-        Tlb &itlb = tlbs_.itlb(blk.core);
-        Tlb &dtlb = tlbs_.dtlb(blk.core);
-        Access a;
-        a.core = blk.core;
-        for (std::size_t i = 0; i < blk.n; ++i) {
-            const TraceRecord &r = blk.recs[i];
-            if constexpr (kObs)
-                setCurrentInstr(blk.first + i);
-            a.addr = r.pc;
-            a.store = false;
-            instRefK<kObs>(a, itlb);
-            if (r.isMemOp()) {
-                a.addr = r.daddr;
-                a.store = r.isStore();
-                dataRefK<kObs>(a, dtlb);
-            }
-        }
-    }
-    // LINT-KERNEL-END (tlb_vm)
 };
 
 } // namespace vmsim

@@ -37,27 +37,6 @@ VmSystem::attachLatency(LatencyCollector *lat)
 }
 
 void
-VmSystem::refBlock(const AccessBlock &blk)
-{
-    // Fallback for organizations without a devirtualized override:
-    // the same per-record order, through the vtable.
-    Access a;
-    a.core = blk.core;
-    for (std::size_t i = 0; i < blk.n; ++i) {
-        const TraceRecord &r = blk.recs[i];
-        setCurrentInstr(blk.first + i);
-        a.addr = r.pc;
-        a.store = false;
-        instRef(a);
-        if (r.isMemOp()) {
-            a.addr = r.daddr;
-            a.store = r.isStore();
-            dataRef(a);
-        }
-    }
-}
-
-void
 VmSystem::attachL2Tlb(const TlbParams &params, Cycles hit_cycles,
                       std::uint64_t seed, bool shared)
 {
@@ -138,7 +117,7 @@ VmSystem::shootdownBroadcast(CoreId from, CoreTlbs &tlbs)
         ++stats_.perCore[c].shootdownsRecv;
         stats_.shootdownCycles += perRecv;
         if (lat_)
-            lat_->shootdown(c).sample(static_cast<double>(perRecv));
+            lat_->shootdown(c).sampleInt(perRecv);
         tlbs.itlb(c).evictRandom(shootdownEvictions_);
         tlbs.dtlb(c).evictRandom(shootdownEvictions_);
         if (!sharedL2)
@@ -183,7 +162,7 @@ VmSystem::touchPageSlow(Vpn v, CoreId core)
     stats_.faultCycles += cost;
     if (lat_) {
         svcAcc_ += cost;
-        lat_->fault(coreSlot(core)).sample(static_cast<double>(cost));
+        lat_->fault(coreSlot(core)).sampleInt(cost);
     }
     emitEvent(EventKind::MajorFault, EventLevel::User, 0, v, cost);
 }
@@ -225,7 +204,7 @@ VmSystem::evictionShootdown(CoreId from)
         ++stats_.perCore[c].shootdownsRecv;
         stats_.shootdownCycles += perRecv;
         if (lat_)
-            lat_->shootdown(c).sample(static_cast<double>(perRecv));
+            lat_->shootdown(c).sampleInt(perRecv);
         emitEvent(EventKind::Shootdown, EventLevel::User, 0, c, perRecv);
     }
 }

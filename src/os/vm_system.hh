@@ -107,6 +107,14 @@ struct AccessBlock
 };
 
 /**
+ * The empty per-block lane of organizations with no per-core state to
+ * hoist out of the record loop (BASE, NOTLB, SPUR).
+ */
+struct NoLane
+{
+};
+
+/**
  * Handler lengths and hardware-walk costs (paper Table 4).
  * All instruction counts double as base cycle counts on the 1-CPI core.
  */
@@ -133,6 +141,8 @@ struct CoreStats
     Counter shootdownsSent = 0; ///< shootdown broadcasts initiated here
     Counter shootdownsRecv = 0; ///< shootdown IPIs received here
     Counter majorFaults = 0;    ///< frame-budget major faults taken here
+
+    bool operator==(const CoreStats &) const = default;
 };
 
 /**
@@ -182,6 +192,7 @@ struct VmStats
     std::vector<CoreStats> perCore;
 
     void reset() { *this = VmStats{}; }
+    bool operator==(const VmStats &) const = default;
 };
 
 /**
@@ -231,10 +242,9 @@ class CoreTlbs
  * is shared (passed in) so that handler and PTE traffic pollutes the
  * same caches the application uses.
  *
- * The entry points take core-indexed Access records; single-core
- * callers construct them with core 0. Only the no-argument
- * contextSwitch()/itlb()/dtlb() conveniences remain as core-0
- * shorthands.
+ * The entry points are core-indexed; single-core callers pass core 0.
+ * Only the no-argument contextSwitch()/itlb()/dtlb() conveniences
+ * remain as core-0 shorthands.
  */
 class VmSystem
 {
@@ -246,27 +256,20 @@ class VmSystem
     VmSystem &operator=(const VmSystem &) = delete;
 
     /**
-     * Process one application instruction fetch (a.addr is the PC).
-     * instRef()/dataRef() are single-reference entry points for callers
-     * that need one reference on its own (unit tests, the Table 4 event
-     * bench); the Simulator drives organizations only through
-     * refBlock().
+     * Process one block of application instructions: for each record,
+     * the fetch, then the data access for loads/stores. This is the
+     * one reference entry point. Every organization implements it as
+     * refBlockFor(*this, blk) over its monomorphized instRefK/dataRefK
+     * kernels, so the simulator pays vtable dispatch once per block;
+     * a reference on its own goes through instRefOnce()/dataRefOnce().
      */
-    virtual void instRef(const Access &a) = 0;
-
-    /** Process one application load/store described by @p a. */
-    virtual void dataRef(const Access &a) = 0;
+    virtual void refBlock(const AccessBlock &blk) = 0;
 
     /**
-     * Process one block of application instructions: for each record,
-     * the fetch, then the data access for loads/stores — exactly the
-     * sequence of instRef()/dataRef() calls, so counters and events are
-     * bit-identical. The default loops over the virtual calls; concrete
-     * organizations override with refBlockFor() (or TlbVm's kernels) so
-     * the simulator pays vtable dispatch once per block instead of
-     * twice per instruction.
+     * The per-block state the kernels take (see refBlockKernel): none
+     * here. TlbVm hides this with the core's I/D TLB pair.
      */
-    virtual void refBlock(const AccessBlock &blk);
+    NoLane lane(CoreId) const { return {}; }
 
     /** Core @p core's I-TLB, or nullptr for TLB-less organizations. */
     virtual const Tlb *
@@ -519,8 +522,7 @@ class VmSystem
             return;
         endHwWalk();
         if (missOpen_) {
-            lat_->missService(missCore_).sample(
-                static_cast<double>(svcAcc_ - missStart_));
+            lat_->missService(missCore_).sampleInt(svcAcc_ - missStart_);
             missOpen_ = false;
         }
     }
@@ -534,8 +536,7 @@ class VmSystem
     endHwWalk()
     {
         if (lat_ && walkOpen_) {
-            lat_->hwWalk(walkCore_).sample(
-                static_cast<double>(svcAcc_ - walkStart_));
+            lat_->hwWalk(walkCore_).sampleInt(svcAcc_ - walkStart_);
             walkOpen_ = false;
         }
     }
@@ -547,7 +548,7 @@ class VmSystem
      * the per-reference path; see observedRefs() for why that is
      * counter-identical.
      */
-    template <bool kObs = true>
+    template <bool kObs>
     MemLevel
     userInstFetchT(Addr pc)
     {
@@ -559,10 +560,8 @@ class VmSystem
         return lvl;
     }
 
-    MemLevel userInstFetch(Addr pc) { return userInstFetchT<true>(pc); }
-
     /** The data-side twin of userInstFetchT() (level field = 1). */
-    template <bool kObs = true>
+    template <bool kObs>
     MemLevel
     userDataAccessT(Addr addr, bool store)
     {
@@ -573,12 +572,6 @@ class VmSystem
                 doEmit(EventKind::L2Miss, EventLevel::Kernel, addr, 0, 0);
         }
         return lvl;
-    }
-
-    MemLevel
-    userDataAccess(Addr addr, bool store)
-    {
-        return userDataAccessT<true>(addr, store);
     }
 
     /**
@@ -805,22 +798,22 @@ class VmSystem
 };
 
 /**
- * Devirtualized block-reference loop for organizations whose per-core
- * state needs no hoisting (BASE, NOTLB, SPUR — the TLB-per-core
- * organizations use TlbVm's batched loop instead, which additionally
- * hoists the core's TLB pair). @p VM is the concrete organization, so
+ * The one block-reference loop. @p VM is the concrete organization, so
  * the instRefK / dataRefK calls are non-virtual and inline into the
- * loop; @p kObs selects the observed or bare kernel body.
+ * loop; @p kObs selects the observed or bare kernel body. The block's
+ * lane — whatever per-core state the kernels need, such as TlbVm's
+ * I/D TLB pair — is taken once, before the first record.
  *
  * The LINT-KERNEL markers fence the per-record dispatch region that
- * scripts/ci.sh greps: no virtual call, no raw instRef/dataRef
- * dispatch, and no std::unordered_map probe may reappear inside it.
+ * scripts/ci.sh greps: no virtual call and no std::unordered_map probe
+ * may reappear inside it.
  */
 // LINT-KERNEL-BEGIN (vm_system)
 template <bool kObs, class VM>
 inline void
 refBlockKernel(VM &vm, const AccessBlock &blk)
 {
+    const auto lane = vm.lane(blk.core);
     Access a;
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
@@ -829,11 +822,11 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
             vm.setCurrentInstr(blk.first + i);
         a.addr = r.pc;
         a.store = false;
-        vm.template instRefK<kObs>(a);
+        vm.template instRefK<kObs>(a, lane);
         if (r.isMemOp()) {
             a.addr = r.daddr;
             a.store = r.isStore();
-            vm.template dataRefK<kObs>(a);
+            vm.template dataRefK<kObs>(a, lane);
         }
     }
 }
@@ -842,8 +835,8 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
 /**
  * Per-batch prologue: test the observers once, then run the whole
  * block through the matching monomorphized kernel. Each organization's
- * refBlock() override is a one-line call to this helper from its own
- * translation unit, where the reference kernels are visible.
+ * refBlock() is a one-line call to this helper, made where its
+ * reference kernels are visible.
  */
 template <class VM>
 inline void
@@ -853,6 +846,31 @@ refBlockFor(VM &vm, const AccessBlock &blk)
         refBlockKernel<true>(vm, blk);
     else
         refBlockKernel<false>(vm, blk);
+}
+
+/**
+ * One instruction fetch on its own, through @p vm's observed kernel,
+ * with no instruction stamp — for callers that issue single
+ * references (unit tests, the Table 4 bench). @p VM is the concrete
+ * organization.
+ */
+template <class VM>
+inline void
+instRefOnce(VM &vm, const Access &a)
+{
+    vm.template instRefK<true>(a, vm.lane(a.core));
+}
+
+/**
+ * One data reference on its own, the twin of instRefOnce(). Unlike a
+ * one-record block it fetches nothing first, so a cold data miss sees
+ * page-table state no fetch has warmed.
+ */
+template <class VM>
+inline void
+dataRefOnce(VM &vm, const Access &a)
+{
+    vm.template dataRefK<true>(a, vm.lane(a.core));
 }
 
 } // namespace vmsim

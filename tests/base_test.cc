@@ -498,8 +498,9 @@ TEST(Histogram, IntegerBucketsMatchTheReferenceFormula)
         EXPECT_EQ(h.count(), byDouble.count());
         EXPECT_EQ(h.underflow(), byDouble.underflow());
         EXPECT_EQ(h.overflow(), byDouble.overflow());
-        if (h.lo() > 0.0)
+        if (h.lo() > 0.0) {
             EXPECT_GT(h.underflow(), 0u);
+        }
         EXPECT_GT(h.overflow(), 0u);
         for (unsigned i = 0; i < h.numBuckets(); ++i) {
             EXPECT_EQ(h.bucket(i), byDouble.bucket(i)) << i;

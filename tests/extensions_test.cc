@@ -127,7 +127,7 @@ TEST(ContextSwitch, FlushesTlbsOnTlbSystems)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     ASSERT_GT(vm.dtlb()->validEntries(), 0u);
     vm.contextSwitch();
     EXPECT_EQ(vm.dtlb()->validEntries(), 0u);
@@ -140,12 +140,12 @@ TEST(ContextSwitch, NoTranslationStateOnGlobalSpaceSystems)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     NotlbVm vm(mem, pm);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     VmStats before = vm.vmStats();
     vm.contextSwitch();
     EXPECT_EQ(vm.vmStats().ctxSwitches, 1u);
     // Still warm: the very next reference hits without a handler.
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().uhandlerCalls, before.uhandlerCalls);
 }
 
@@ -311,14 +311,14 @@ TEST(TlbMissCounters, CountUserMissesOnly)
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
     // One data miss (which internally also misses the D-TLB on the
     // UPT page — that nested miss must NOT count here).
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().dtlbMisses, 1u);
     EXPECT_EQ(vm.vmStats().itlbMisses, 0u);
-    vm.instRef(Access{0x00400000});
+    instRefOnce(vm, Access{0x00400000});
     EXPECT_EQ(vm.vmStats().itlbMisses, 1u);
     // Hits do not count.
-    vm.dataRef(Access{0x10000004, 0, false});
-    vm.instRef(Access{0x00400004});
+    dataRefOnce(vm, Access{0x10000004, 0, false});
+    instRefOnce(vm, Access{0x00400004});
     EXPECT_EQ(vm.vmStats().dtlbMisses, 1u);
     EXPECT_EQ(vm.vmStats().itlbMisses, 1u);
 }
@@ -360,7 +360,7 @@ TEST(L2Tlb, HitSkipsRefillEntirely)
     vm.attachL2Tlb(TlbParams{1024, 0}, 2);
     ASSERT_NE(vm.l2tlb(), nullptr);
 
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     VmStats first = vm.vmStats();
     EXPECT_EQ(first.l2TlbHits, 0u); // cold: full walk ran
 
@@ -368,12 +368,12 @@ TEST(L2Tlb, HitSkipsRefillEntirely)
     // random replacement needs an unbounded-but-terminating flood.
     for (int i = 1; vm.dtlb()->contains(0x10000000 >> 12); ++i) {
         ASSERT_LT(i, 100000) << "flood failed to evict";
-        vm.dataRef(Access{0x10000000 +
+        dataRefOnce(vm, Access{0x10000000 +
                        static_cast<std::uint64_t>(1 + i % 500) * 4096, 0, false});
     }
 
     VmStats before = vm.vmStats();
-    vm.dataRef(Access{0x10000000, 0, false}); // L1 miss, L2 TLB hit
+    dataRefOnce(vm, Access{0x10000000, 0, false}); // L1 miss, L2 TLB hit
     const VmStats &after = vm.vmStats();
     EXPECT_EQ(after.l2TlbHits, before.l2TlbHits + 1);
     EXPECT_EQ(after.interrupts, before.interrupts);
@@ -389,7 +389,7 @@ TEST(L2Tlb, MissFallsThroughToWalk)
     PhysMem pm(8_MiB, 12);
     IntelVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0});
     vm.attachL2Tlb(TlbParams{256, 0}, 2);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().l2TlbHits, 0u);
     EXPECT_EQ(vm.vmStats().hwWalks, 1u);
     EXPECT_TRUE(vm.l2tlb()->contains(0x10000000 >> 12)); // filled
@@ -401,7 +401,7 @@ TEST(L2Tlb, NoneAttachedByDefault)
     PhysMem pm(8_MiB, 12);
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
     EXPECT_EQ(vm.l2tlb(), nullptr);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().l2TlbHits, 0u);
 }
 
@@ -442,7 +442,7 @@ TEST(L2Tlb, FlushedOnContextSwitch)
     PhysMem pm(8_MiB, 12);
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
     vm.attachL2Tlb(TlbParams{256, 0}, 2);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     ASSERT_TRUE(vm.l2tlb()->contains(0x10000000 >> 12));
     vm.contextSwitch();
     EXPECT_FALSE(vm.l2tlb()->contains(0x10000000 >> 12));

@@ -11,6 +11,7 @@
 #include "base/logging.hh"
 #include "core/factory.hh"
 #include "core/simulator.hh"
+#include "os/ultrix_vm.hh"
 #include "trace/synthetic/workloads.hh"
 
 namespace vmsim
@@ -83,7 +84,8 @@ TEST(Factory, HandlerCostOverride)
     cfg.overrideHandlerCosts = true;
     cfg.handlerCosts.userInstrs = 33;
     System sys(cfg);
-    sys.vm().dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(dynamic_cast<UltrixVm &>(sys.vm()),
+                Access{0x10000000, 0, false});
     EXPECT_EQ(sys.vm().vmStats().uhandlerInstrs, 33u);
 }
 

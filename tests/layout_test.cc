@@ -25,9 +25,19 @@
 #include "base/intmath.hh"
 #include "base/random.hh"
 #include "core/simulator.hh"
+#include "os/base_vm.hh"
+#include "os/hw_inverted_vm.hh"
+#include "os/hw_mips_vm.hh"
+#include "os/intel_vm.hh"
+#include "os/mach_vm.hh"
+#include "os/notlb_vm.hh"
+#include "os/parisc_vm.hh"
+#include "os/spur_vm.hh"
+#include "os/ultrix_vm.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
 #include "os/vm_system.hh"
+#include "trace/synthetic/workloads.hh"
 #include "tlb/tlb.hh"
 #include "trace/trace.hh"
 
@@ -361,9 +371,10 @@ TEST(TlbFlatIndex, ConsistentUnderTaggedChurn)
                 tlb.insert(v);
             break;
         }
-        if (op % 64 == 0)
+        if (op % 64 == 0) {
             ASSERT_TRUE(tlb.auditIndex(&why)) << "op " << op << ": "
                                               << why;
+        }
     }
     ASSERT_TRUE(tlb.auditIndex(&why)) << why;
     EXPECT_GT(tlb.hits(), 0u);
@@ -387,9 +398,10 @@ TEST(TlbFlatIndex, UntaggedSmallTlbChurn)
             tlb.insert(v);
         if (rng.chance(0.05))
             tlb.invalidate(rng.uniform(200));
-        if (op % 128 == 0)
+        if (op % 128 == 0) {
             ASSERT_TRUE(tlb.auditIndex(&why)) << "op " << op << ": "
                                               << why;
+        }
     }
     ASSERT_TRUE(tlb.auditIndex(&why)) << why;
 }
@@ -413,11 +425,10 @@ layoutTestConfig(SystemKind kind)
 }
 
 /**
- * The devirtualized per-organization kernels (refBlockKernel /
- * TlbVm::refBlockT) must be observationally identical to the scalar
- * virtual-dispatch loop for every organization — at cores=4, with
- * context switches and shootdowns landing mid-batch, in both the
- * observed (kObs=true) and bare (kObs=false) instantiations.
+ * The block kernel (refBlockKernel) must be observationally identical
+ * at one-record blocks and at full batches for every organization — at
+ * cores=4, with context switches and shootdowns landing mid-batch, in
+ * both the observed (kObs=true) and bare (kObs=false) instantiations.
  */
 TEST(LayoutKernels, ScalarVsBatchedAllSystemsMulticore)
 {
@@ -464,6 +475,90 @@ TEST(LayoutKernels, ObservedMatchesBareKernelCounters)
 
         EXPECT_EQ(rb.serialize().dump(), ro.serialize().dump())
             << kindName(kind);
+    }
+}
+
+/** Call @p fn with @p vm cast to @p kind's organization type. */
+template <class F>
+void
+withOrganization(SystemKind kind, VmSystem &vm, F &&fn)
+{
+    switch (kind) {
+      case SystemKind::Ultrix: return fn(dynamic_cast<UltrixVm &>(vm));
+      case SystemKind::Mach: return fn(dynamic_cast<MachVm &>(vm));
+      case SystemKind::Intel: return fn(dynamic_cast<IntelVm &>(vm));
+      case SystemKind::Parisc: return fn(dynamic_cast<PariscVm &>(vm));
+      case SystemKind::Notlb: return fn(dynamic_cast<NotlbVm &>(vm));
+      case SystemKind::Base: return fn(dynamic_cast<BaseVm &>(vm));
+      case SystemKind::HwInverted:
+        return fn(dynamic_cast<HwInvertedVm &>(vm));
+      case SystemKind::HwMips: return fn(dynamic_cast<HwMipsVm &>(vm));
+      case SystemKind::Spur: return fn(dynamic_cast<SpurVm &>(vm));
+    }
+    FAIL() << "unknown SystemKind";
+}
+
+/**
+ * refBlock() and the single-reference helpers run the same kernels:
+ * a synthetic stream driven as blocks (bare kernels) and record by
+ * record through instRefOnce()/dataRefOnce() (observed kernels) must
+ * leave identical VM, per-core and cache counters — at one core and
+ * at four, with blocks rotating over the cores and address-space
+ * switches (and, at four cores, their shootdowns) between blocks.
+ */
+TEST(LayoutKernels, BlocksMatchSingleReferenceHelpers)
+{
+    constexpr std::size_t kRecords = 6000;
+    constexpr std::size_t kBlock = 97;
+    std::vector<TraceRecord> recs(kRecords);
+    ASSERT_EQ(makeWorkload("gcc", 7)->nextBatch(recs.data(), kRecords),
+              kRecords);
+    for (SystemKind kind :
+         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
+          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
+          SystemKind::HwInverted, SystemKind::HwMips,
+          SystemKind::Spur}) {
+        for (unsigned cores : {1u, 4u}) {
+            SimConfig cfg = layoutTestConfig(kind);
+            cfg.cores = cores;
+            System blocks(cfg);
+            System single(cfg);
+            for (std::size_t off = 0, b = 0; off < kRecords;
+                 off += kBlock, ++b) {
+                const CoreId core = static_cast<CoreId>(b % cores);
+                const std::size_t end = std::min(off + kBlock, kRecords);
+                blocks.vm().refBlock(AccessBlock{
+                    &recs[off], static_cast<std::uint32_t>(end - off),
+                    core, off});
+                withOrganization(kind, single.vm(), [&](auto &vm) {
+                    for (std::size_t i = off; i < end; ++i) {
+                        const TraceRecord &r = recs[i];
+                        instRefOnce(vm, Access{r.pc, core, false});
+                        if (r.isMemOp())
+                            dataRefOnce(vm, Access{r.daddr, core,
+                                                   r.isStore()});
+                    }
+                });
+                if (b % 5 == 4) {
+                    blocks.vm().contextSwitch(core);
+                    single.vm().contextSwitch(core);
+                }
+            }
+            const std::string at = std::string(kindName(kind)) +
+                                   " cores=" + std::to_string(cores);
+            EXPECT_EQ(blocks.mem().stats().instOf(AccessClass::User)
+                          .accesses,
+                      kRecords) << at;
+            if (cores > 1 && blocks.vm().itlb()) {
+                EXPECT_GT(blocks.vm().vmStats().shootdownsSent, 0u) << at;
+            }
+            EXPECT_TRUE(blocks.vm().vmStats().perCore ==
+                        single.vm().vmStats().perCore) << at;
+            EXPECT_TRUE(blocks.vm().vmStats() == single.vm().vmStats())
+                << at;
+            EXPECT_TRUE(blocks.mem().stats() == single.mem().stats())
+                << at;
+        }
     }
 }
 

@@ -224,14 +224,18 @@ TEST(Multicore, ParallelSweepIsDeterministicAtFourCores)
     EXPECT_EQ(a.str(), b.str());
 }
 
-/** The deprecated single-address entry points still drive the new
- *  Access path (core 0) for downstream callers. */
-TEST(Multicore, DeprecatedScalarWrappersStillWork)
+/** A one-record block through the sole reference entry point: one
+ *  user fetch, one user data access, and the core-0 contextSwitch()
+ *  shorthand still counts its switch. */
+TEST(Multicore, OneRecordBlockAndCoreZeroSwitch)
 {
     System sys(baseConfig());
     VmSystem &vm = sys.vm();
-    vm.instRef(Access{Addr{0x1000}});
-    vm.dataRef(Access{Addr{0x2000}, 0, true});
+    TraceRecord rec;
+    rec.pc = 0x1000;
+    rec.daddr = 0x2000;
+    rec.op = MemOp::Store;
+    vm.refBlock(AccessBlock{&rec, 1, 0, 0});
     vm.contextSwitch();
     EXPECT_EQ(vm.vmStats().ctxSwitches, 1u);
     EXPECT_EQ(vm.mem().stats().instOf(AccessClass::User).accesses, 1u);

@@ -240,7 +240,7 @@ TEST(VmSystemBase, FetchHandlerTouchesSequentialWords)
     MemSystem mem(CacheParams{32_KiB, 32}, CacheParams{1_MiB, 64});
     PhysMem pm(8_MiB, 12);
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
-    vm.dataRef(Access{0x10000000, 0, false}); // user (10) + root (20) handlers
+    dataRefOnce(vm, Access{0x10000000, 0, false}); // user (10) + root (20) handlers
     // 30 sequential 4-byte fetches over 32-byte lines, two distinct
     // page-aligned bases: ceil(40/32) + ceil(80/32) line fills.
     const auto &hf = mem.stats().instOf(AccessClass::HandlerFetch);

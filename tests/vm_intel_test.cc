@@ -45,7 +45,7 @@ TEST(IntelVm, RejectsPartitionedTlb)
 TEST(IntelVm, WalkIsSevenCyclesTwoLoadsNoInterrupt)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.hwWalks, 1u);
     EXPECT_EQ(s.hwWalkCycles, 7u);
@@ -58,7 +58,7 @@ TEST(IntelVm, WalkIsSevenCyclesTwoLoadsNoInterrupt)
 TEST(IntelVm, NoInstructionCacheImpact)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // The FSM fetches no instructions: the I-side never sees handler
     // traffic.
     EXPECT_EQ(f.mem.stats().instOf(AccessClass::HandlerFetch).accesses,
@@ -72,7 +72,7 @@ TEST(IntelVm, ExactlyTwoMemoryReferencesEveryWalk)
     // references" — even when mappings were walked before.
     Fixture f;
     for (int i = 0; i < 200; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.hwWalks, 200u);
     EXPECT_EQ(s.pteLoads, 400u);
@@ -84,7 +84,7 @@ TEST(IntelVm, ExactlyTwoMemoryReferencesEveryWalk)
 TEST(IntelVm, RootEntriesNotCachedInTlb)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // Nothing besides the user page enters the D-TLB: the root level
     // is accessed physically each time.
     EXPECT_EQ(f.vm.dtlb()->validEntries(), 1u);
@@ -94,12 +94,12 @@ TEST(IntelVm, RootEntriesNotCachedInTlb)
 TEST(IntelVm, PteLoadsAreCacheable)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     Counter misses_before =
         f.mem.stats().dataOf(AccessClass::PteUser).l1Misses;
     // A neighbor page's PTE shares the same PTE-page line region:
     // likely a D-cache hit, and never an I-cache access.
-    f.vm.dataRef(Access{0x10001000, 0, false});
+    dataRefOnce(f.vm, Access{0x10001000, 0, false});
     Counter misses_after =
         f.mem.stats().dataOf(AccessClass::PteUser).l1Misses;
     EXPECT_EQ(misses_after, misses_before); // adjacent PTE, same line
@@ -108,15 +108,15 @@ TEST(IntelVm, PteLoadsAreCacheable)
 TEST(IntelVm, TlbHitBypassesWalk)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
-    f.vm.dataRef(Access{0x10000040, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000040, 0, false});
     EXPECT_EQ(f.vm.vmStats().hwWalks, 1u);
 }
 
 TEST(IntelVm, ITlbMissAlsoHardwareWalked)
 {
     Fixture f;
-    f.vm.instRef(Access{0x00400000});
+    instRefOnce(f.vm, Access{0x00400000});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.hwWalks, 1u);
     EXPECT_EQ(s.interrupts, 0u);
@@ -128,12 +128,12 @@ TEST(IntelVm, AllTlbSlotsAvailableForUserPtes)
     // With no partition, 128 distinct pages all fit.
     Fixture f;
     for (int i = 0; i < 128; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     EXPECT_EQ(f.vm.dtlb()->validEntries(), 128u);
     EXPECT_EQ(f.vm.vmStats().hwWalks, 128u);
     // All still resident: a second pass walks nothing.
     for (int i = 0; i < 128; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     EXPECT_EQ(f.vm.vmStats().hwWalks, 128u);
 }
 
@@ -144,7 +144,7 @@ TEST(IntelVm, CustomFsmCycles)
     HandlerCosts costs;
     costs.hwWalkCycles = 11;
     IntelVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0}, costs);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().hwWalkCycles, 11u);
 }
 

@@ -31,9 +31,9 @@ TEST(BaseVm, NoVmEventsEver)
 {
     MemSystem mem(l1(), l2());
     BaseVm vm(mem);
-    for (int i = 0; i < 1000; ++i) {
-        vm.instRef(Access{0x00400000 + i * 4});
-        vm.dataRef(Access{0x10000000 + i * 64, 0, i % 3 == 0});
+    for (Addr i = 0; i < 1000; ++i) {
+        instRefOnce(vm, Access{0x00400000 + i * 4});
+        dataRefOnce(vm, Access{0x10000000 + i * 64, 0, i % 3 == 0});
     }
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.interrupts, 0u);
@@ -52,8 +52,8 @@ TEST(BaseVm, CachesStillWork)
 {
     MemSystem mem(l1(), l2());
     BaseVm vm(mem);
-    vm.dataRef(Access{0x10000000, 0, false});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(mem.stats().dataOf(AccessClass::User).accesses, 2u);
     EXPECT_EQ(mem.stats().dataOf(AccessClass::User).l1Misses, 1u);
 }
@@ -65,7 +65,7 @@ TEST(HwInvertedVm, WalksWithoutInterruptOrICache)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     HwInvertedVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.interrupts, 0u);
     EXPECT_EQ(s.uhandlerInstrs, 0u);
@@ -91,9 +91,9 @@ TEST(HwInvertedVm, ChainDepthAddsCycles)
         }
     }
     ASSERT_NE(b, 0u);
-    vm.dataRef(Access{a << 12, 0, false});
+    dataRefOnce(vm, Access{a << 12, 0, false});
     EXPECT_EQ(vm.vmStats().hwWalkCycles, 7u);
-    vm.dataRef(Access{b << 12, 0, false});
+    dataRefOnce(vm, Access{b << 12, 0, false});
     // Second walk visits 2 chain entries: 7 + (7 + 1).
     EXPECT_EQ(vm.vmStats().hwWalkCycles, 15u);
 }
@@ -105,7 +105,7 @@ TEST(HwInvertedVm, SharesTableBehaviorWithParisc)
     HwInvertedVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0},
                     HandlerCosts{}, 12, 1, 2);
     EXPECT_EQ(vm.pageTable().numBuckets(), 4096u);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     // 16-byte PTE traffic on the D side.
     EXPECT_EQ(mem.stats().dataOf(AccessClass::PteUser).accesses, 1u);
 }
@@ -117,7 +117,7 @@ TEST(HwMipsVm, UnpartitionedTlbAblationWorks)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     HwMipsVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().hwWalks, 1u);
     Vpn upte_page = vm.pageTable().uptPageVpn(0x10000000 >> 12);
     EXPECT_TRUE(vm.dtlb()->contains(upte_page));
@@ -128,7 +128,7 @@ TEST(HwMipsVm, ColdWalkUsesNestedRootPath)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     HwMipsVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.interrupts, 0u);
     EXPECT_EQ(s.hwWalks, 1u);
@@ -143,8 +143,8 @@ TEST(HwMipsVm, WarmUptPageSkipsNesting)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     HwMipsVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
-    vm.dataRef(Access{0x10000000, 0, false});
-    vm.dataRef(Access{0x10001000, 0, false}); // same UPT page: no root access
+    dataRefOnce(vm, Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10001000, 0, false}); // same UPT page: no root access
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.hwWalks, 2u);
     EXPECT_EQ(s.hwWalkCycles, 2 * 7u + HwMipsVm::kNestedWalkCycles);
@@ -158,7 +158,7 @@ TEST(HwMipsVm, SameMemoryTrafficAsUltrixWalk)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     HwMipsVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(mem.stats().dataOf(AccessClass::PteUser).accesses, 1u);
     EXPECT_EQ(mem.stats().dataOf(AccessClass::PteRoot).accesses, 1u);
 }
@@ -171,7 +171,7 @@ TEST(SpurVm, NoTlbNoInterruptNoHandlerCode)
     PhysMem pm(8_MiB, 12);
     SpurVm vm(mem, pm);
     EXPECT_EQ(vm.itlb(), nullptr);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.interrupts, 0u);
     EXPECT_EQ(s.uhandlerInstrs, 0u);
@@ -188,13 +188,13 @@ TEST(SpurVm, TriggersOnlyOnL2Miss)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     SpurVm vm(mem, pm);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     Counter walks = vm.vmStats().hwWalks;
-    vm.dataRef(Access{0x10000000, 0, false}); // L1 hit
+    dataRefOnce(vm, Access{0x10000000, 0, false}); // L1 hit
     EXPECT_EQ(vm.vmStats().hwWalks, walks);
     // L1 conflict but L2 hit: still no walk.
-    vm.dataRef(Access{0x10008000, 0, false});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10008000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().hwWalks, walks + 1); // only the new line
 }
 
@@ -203,10 +203,10 @@ TEST(SpurVm, WarmPteSkipsNestedCycles)
     MemSystem mem(l1(), l2());
     PhysMem pm(8_MiB, 12);
     SpurVm vm(mem, pm);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     Counter cycles = vm.vmStats().hwWalkCycles;
     // Neighboring page's PTE shares the warm table line: walk is flat.
-    vm.dataRef(Access{0x10001000, 0, false});
+    dataRefOnce(vm, Access{0x10001000, 0, false});
     EXPECT_EQ(vm.vmStats().hwWalkCycles, cycles + 7);
 }
 

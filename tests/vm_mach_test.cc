@@ -47,7 +47,7 @@ TEST(MachVm, UnpartitionedTlbAblationWorks)
     MemSystem mem(CacheParams{32_KiB, 32}, CacheParams{1_MiB, 64});
     PhysMem pm(8_MiB, 12);
     MachVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().rhandlerCalls, 1u);
     Vpn upte_page = vm.pageTable().uptPageVpn(0x10000000 >> 12);
     EXPECT_TRUE(vm.dtlb()->contains(upte_page));
@@ -56,7 +56,7 @@ TEST(MachVm, UnpartitionedTlbAblationWorks)
 TEST(MachVm, ColdMissNestsThreeDeep)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 1u);
     EXPECT_EQ(s.khandlerCalls, 1u);
@@ -75,8 +75,8 @@ TEST(MachVm, ColdMissNestsThreeDeep)
 TEST(MachVm, SecondMissSameUptPageIsShallow)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
-    f.vm.dataRef(Access{0x10001000, 0, false}); // same UPT page
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10001000, 0, false}); // same UPT page
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 2u);
     EXPECT_EQ(s.khandlerCalls, 1u);
@@ -87,11 +87,11 @@ TEST(MachVm, SecondMissSameUptPageIsShallow)
 TEST(MachVm, DistantUptPageNestsToKernelOnly)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // A user page 8 MB away uses a different UPT page but (almost
     // certainly) the same KPT page, since one KPT page maps 4 MB of
     // kernel space = 2^10 UPT pages.
-    f.vm.dataRef(Access{0x10800000, 0, false});
+    dataRefOnce(f.vm, Access{0x10800000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 2u);
     EXPECT_EQ(s.khandlerCalls, 2u);
@@ -102,14 +102,14 @@ TEST(MachVm, DistantUptPageNestsToKernelOnly)
 TEST(MachVm, KernelMappingsGoToProtectedSlots)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     Vpn upte_page = f.vm.pageTable().uptPageVpn(0x10000000 >> 12);
     Vpn kpte_page = f.vm.pageTable().kptPageVpn(upte_page);
     ASSERT_TRUE(f.vm.dtlb()->contains(upte_page));
     ASSERT_TRUE(f.vm.dtlb()->contains(kpte_page));
     // Flood normal slots within the already-mapped 4 MB segment.
     for (int i = 1; i < 300; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     EXPECT_TRUE(f.vm.dtlb()->contains(kpte_page));
 }
 
@@ -118,7 +118,7 @@ TEST(MachVm, RootPathIsExpensive)
     // The distinguishing feature of the MACH simulation: the root
     // path costs an order of magnitude more than the others.
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_GT(s.rhandlerInstrs, 10 * (s.uhandlerInstrs +
                                       s.khandlerInstrs));
@@ -137,17 +137,17 @@ TEST(MachVm, PidSeparatesUptPlacement)
 TEST(MachVm, TlbHitIsFree)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     VmStats before = f.vm.vmStats();
-    for (int i = 0; i < 10; ++i)
-        f.vm.dataRef(Access{0x10000000 + i * 8, 0, false});
+    for (Addr i = 0; i < 10; ++i)
+        dataRefOnce(f.vm, Access{0x10000000 + i * 8, 0, false});
     EXPECT_EQ(f.vm.vmStats().interrupts, before.interrupts);
 }
 
 TEST(MachVm, HandlerBasesAreDistinctPages)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     EXPECT_TRUE(f.mem.l1i().probe(kUserHandlerBase));
     EXPECT_TRUE(f.mem.l1i().probe(kKernelHandlerBase));
     EXPECT_TRUE(f.mem.l1i().probe(kRootHandlerBase));

@@ -40,7 +40,7 @@ TEST(NotlbVm, HasNoTlb)
 TEST(NotlbVm, ColdL2MissRunsHandler)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 1u);
     EXPECT_EQ(s.uhandlerInstrs, 10u);
@@ -53,32 +53,32 @@ TEST(NotlbVm, ColdL2MissRunsHandler)
 TEST(NotlbVm, CacheHitCostsNothing)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     VmStats before = f.vm.vmStats();
-    f.vm.dataRef(Access{0x10000000, 0, false}); // L1 hit now
+    dataRefOnce(f.vm, Access{0x10000000, 0, false}); // L1 hit now
     EXPECT_EQ(f.vm.vmStats().interrupts, before.interrupts);
 }
 
 TEST(NotlbVm, L2HitAfterL1EvictionCostsNothing)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // Conflict away the L1 line (32 KB direct-mapped L1), keeping L2.
-    f.vm.dataRef(Access{0x10008000, 0, false});
+    dataRefOnce(f.vm, Access{0x10008000, 0, false});
     VmStats before = f.vm.vmStats();
     // L1 miss, L2 hit: no handler — the trigger is the L2 miss only.
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, before.uhandlerCalls);
 }
 
 TEST(NotlbVm, NestedHandlerOnlyWhenPteMissesL2)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false}); // cold: nested
+    dataRefOnce(f.vm, Access{0x10000000, 0, false}); // cold: nested
     // Another page in the same 4 MB segment: its PTE shares the same
     // page-group line region (adjacent 4-byte PTEs) so the PTE ref
     // hits the now-warm cache.
-    f.vm.dataRef(Access{0x10001000, 0, false});
+    dataRefOnce(f.vm, Access{0x10001000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 2u);
     EXPECT_EQ(s.rhandlerCalls, 1u);
@@ -87,10 +87,10 @@ TEST(NotlbVm, NestedHandlerOnlyWhenPteMissesL2)
 TEST(NotlbVm, InstructionMissesAlsoHandled)
 {
     Fixture f;
-    f.vm.instRef(Access{0x00400000});
+    instRefOnce(f.vm, Access{0x00400000});
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, 1u);
     // The next sequential fetch hits the freshly filled I-line.
-    f.vm.instRef(Access{0x00400004});
+    instRefOnce(f.vm, Access{0x00400004});
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, 1u);
 }
 
@@ -99,7 +99,7 @@ TEST(NotlbVm, HandlerCodeCannotRecurse)
     // Handler instruction fetches are in unmapped space: even though
     // they miss the L2 I-cache cold, they must not invoke handlers.
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // Exactly the events of one (nested) miss — nothing more.
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, 1u);
     EXPECT_EQ(f.vm.vmStats().rhandlerCalls, 1u);
@@ -110,7 +110,7 @@ TEST(NotlbVm, HandlerCodeCannotRecurse)
 TEST(NotlbVm, PteTrafficUsesDisjunctTable)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     Addr upte = f.vm.pageTable().uptEntryAddr(0x10000000 >> 12);
     EXPECT_TRUE(f.mem.l1d().probe(upte));
 }
@@ -128,8 +128,8 @@ TEST(NotlbVm, SensitiveToCacheSize)
     // Cyclic sweep over 256 KB: fits the 2 MB L2, thrashes the 64 KB.
     for (int lap = 0; lap < 4; ++lap)
         for (Addr a = 0; a < 256_KiB; a += 64) {
-            vm_small.dataRef(Access{0x10000000 + a, 0, false});
-            vm_big.dataRef(Access{0x10000000 + a, 0, false});
+            dataRefOnce(vm_small, Access{0x10000000 + a, 0, false});
+            dataRefOnce(vm_big, Access{0x10000000 + a, 0, false});
         }
     EXPECT_GT(vm_small.vmStats().uhandlerCalls,
               3 * vm_big.vmStats().uhandlerCalls);

@@ -52,7 +52,7 @@ TEST(PariscVm, RejectsPartitionedTlb)
 TEST(PariscVm, SingleHandlerSingleInterrupt)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 1u);
     EXPECT_EQ(s.uhandlerInstrs, 20u);
@@ -68,7 +68,7 @@ TEST(PariscVm, NoNestedMissesEver)
     // can run regardless of access pattern.
     Fixture f;
     for (int i = 0; i < 1000; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096 * 7, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096 * 7, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.khandlerCalls, 0u);
     EXPECT_EQ(s.rhandlerCalls, 0u);
@@ -92,10 +92,10 @@ TEST(PariscVm, ChainWalkCostsExtraPteLoads)
         }
     }
     ASSERT_NE(b, 0u);
-    f.vm.dataRef(Access{a << 12, 0, false});
+    dataRefOnce(f.vm, Access{a << 12, 0, false});
     Counter loads_a = f.vm.vmStats().pteLoads;
     EXPECT_EQ(loads_a, 1u);
-    f.vm.dataRef(Access{b << 12, 0, false});
+    dataRefOnce(f.vm, Access{b << 12, 0, false});
     // The collider visits the chain head plus its own entry.
     EXPECT_EQ(f.vm.vmStats().pteLoads, loads_a + 2);
 }
@@ -103,7 +103,7 @@ TEST(PariscVm, ChainWalkCostsExtraPteLoads)
 TEST(PariscVm, SixteenBytePtesHitDCache)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // One 16-byte aligned PTE read: one D-side access in 32B lines.
     EXPECT_EQ(f.mem.stats().dataOf(AccessClass::PteUser).accesses, 1u);
     // Re-walking the same entry after TLB eviction would hit the
@@ -115,7 +115,7 @@ TEST(PariscVm, SixteenBytePtesHitDCache)
 TEST(PariscVm, HandlerTouchesICache)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     EXPECT_EQ(f.mem.stats().instOf(AccessClass::HandlerFetch).accesses,
               20u);
     EXPECT_TRUE(f.mem.l1i().probe(kUserHandlerBase));
@@ -125,7 +125,7 @@ TEST(PariscVm, AllTlbSlotsUsable)
 {
     Fixture f;
     for (int i = 0; i < 128; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     EXPECT_EQ(f.vm.dtlb()->validEntries(), 128u);
 }
 
@@ -137,7 +137,7 @@ TEST(PariscVm, AverageSearchDepthNearPaper)
     Random rng(3);
     for (int i = 0; i < 4000; ++i) {
         Addr page = rng.uniform(1500);
-        f.vm.dataRef(Access{0x10000000 + page * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + page * 4096, 0, false});
     }
     double avg = f.vm.pageTable().searchDepth().mean();
     EXPECT_GE(avg, 1.0);

@@ -40,7 +40,7 @@ TEST(UltrixVm, UnpartitionedTlbAblationWorks)
     MemSystem mem(CacheParams{32_KiB, 32}, CacheParams{1_MiB, 64});
     PhysMem pm(8_MiB, 12);
     UltrixVm vm(mem, pm, TlbParams{128, 0}, TlbParams{128, 0});
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().rhandlerCalls, 1u);
     Vpn upte_page = vm.pageTable().uptPageVpn(0x10000000 >> 12);
     EXPECT_TRUE(vm.dtlb()->contains(upte_page));
@@ -49,7 +49,7 @@ TEST(UltrixVm, UnpartitionedTlbAblationWorks)
 TEST(UltrixVm, FirstDataMissRunsBothHandlers)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     const VmStats &s = f.vm.vmStats();
     // Cold D-TLB: user handler, then nested root handler (the UPT page
     // itself is unmapped), then the UPTE load.
@@ -74,10 +74,10 @@ TEST(UltrixVm, FirstDataMissRunsBothHandlers)
 TEST(UltrixVm, SecondMissInSameUptPageSkipsRootHandler)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // A different user page whose UPTE lives in the same (now-mapped)
     // UPT page: only the user handler runs.
-    f.vm.dataRef(Access{0x10001000, 0, false});
+    dataRefOnce(f.vm, Access{0x10001000, 0, false});
     const VmStats &s = f.vm.vmStats();
     EXPECT_EQ(s.uhandlerCalls, 2u);
     EXPECT_EQ(s.rhandlerCalls, 1u);
@@ -88,9 +88,9 @@ TEST(UltrixVm, SecondMissInSameUptPageSkipsRootHandler)
 TEST(UltrixVm, TlbHitIsFree)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     VmStats before = f.vm.vmStats();
-    f.vm.dataRef(Access{0x10000004, 0, false}); // same page: D-TLB hit
+    dataRefOnce(f.vm, Access{0x10000004, 0, false}); // same page: D-TLB hit
     const VmStats &after = f.vm.vmStats();
     EXPECT_EQ(after.uhandlerCalls, before.uhandlerCalls);
     EXPECT_EQ(after.interrupts, before.interrupts);
@@ -100,7 +100,7 @@ TEST(UltrixVm, TlbHitIsFree)
 TEST(UltrixVm, InstMissFillsItlbNotDtlb)
 {
     Fixture f;
-    f.vm.instRef(Access{0x00400000});
+    instRefOnce(f.vm, Access{0x00400000});
     EXPECT_TRUE(f.vm.itlb()->contains(0x00400000 >> 12));
     // Walking for an instruction does not install the user page in
     // the D-TLB (only the UPT page mapping lands there, protected).
@@ -114,7 +114,7 @@ TEST(UltrixVm, InstWalkChecksDtlbForPte)
     Fixture f;
     // Instruction walk loads its UPTE via the D-TLB: the UPT-page
     // mapping must now be resident there (in a protected slot).
-    f.vm.instRef(Access{0x00400000});
+    instRefOnce(f.vm, Access{0x00400000});
     Vpn upte_page = f.vm.pageTable().uptPageVpn(0x00400000 >> 12);
     EXPECT_TRUE(f.vm.dtlb()->contains(upte_page));
 }
@@ -122,13 +122,13 @@ TEST(UltrixVm, InstWalkChecksDtlbForPte)
 TEST(UltrixVm, ProtectedMappingSurvivesUserPressure)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     Vpn upte_page = f.vm.pageTable().uptPageVpn(0x10000000 >> 12);
     ASSERT_TRUE(f.vm.dtlb()->contains(upte_page));
     // Flood the normal D-TLB slots with >112 distinct pages from the
     // same 4 MB region (so no further root handlers run).
     for (int i = 1; i < 300; ++i)
-        f.vm.dataRef(Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
+        dataRefOnce(f.vm, Access{0x10000000 + static_cast<std::uint64_t>(i) * 4096, 0, false});
     EXPECT_TRUE(f.vm.dtlb()->contains(upte_page))
         << "root-level mapping evicted from protected slots";
     EXPECT_EQ(f.vm.vmStats().rhandlerCalls, 1u);
@@ -137,7 +137,7 @@ TEST(UltrixVm, ProtectedMappingSurvivesUserPressure)
 TEST(UltrixVm, HandlerCodeTouchesICache)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     // Handler fetches hit the I-cache hierarchy at the handler bases.
     EXPECT_GT(f.mem.stats().instOf(AccessClass::HandlerFetch).l1Misses,
               0u);
@@ -148,9 +148,9 @@ TEST(UltrixVm, HandlerCodeTouchesICache)
 TEST(UltrixVm, SeparateItlbAndDtlb)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     EXPECT_FALSE(f.vm.itlb()->contains(0x10000000 >> 12));
-    f.vm.instRef(Access{0x10000000}); // same page as code: I-TLB must miss
+    instRefOnce(f.vm, Access{0x10000000}); // same page as code: I-TLB must miss
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, 2u);
 }
 
@@ -162,7 +162,7 @@ TEST(UltrixVm, CustomHandlerLengths)
     costs.userInstrs = 12;
     costs.rootInstrs = 24;
     UltrixVm vm(mem, pm, TlbParams{128, 16}, TlbParams{128, 16}, costs);
-    vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(vm, Access{0x10000000, 0, false});
     EXPECT_EQ(vm.vmStats().uhandlerInstrs, 12u);
     EXPECT_EQ(vm.vmStats().rhandlerInstrs, 24u);
 }
@@ -170,11 +170,11 @@ TEST(UltrixVm, CustomHandlerLengths)
 TEST(UltrixVm, ResetVmStatsKeepsWarmState)
 {
     Fixture f;
-    f.vm.dataRef(Access{0x10000000, 0, false});
+    dataRefOnce(f.vm, Access{0x10000000, 0, false});
     f.vm.resetVmStats();
     EXPECT_EQ(f.vm.vmStats().interrupts, 0u);
     // Warm TLB: the next reference to the same page costs nothing.
-    f.vm.dataRef(Access{0x10000010, 0, false});
+    dataRefOnce(f.vm, Access{0x10000010, 0, false});
     EXPECT_EQ(f.vm.vmStats().uhandlerCalls, 0u);
 }
 
