@@ -1,11 +1,11 @@
 #!/bin/sh
-# The full local gate: the tier-1 build + unit-test suite, a smoke run
-# of every bench binary, the batched-pipeline determinism check, the
-# invariant/fuzz campaigns, the golden replay manifest, the hot-path
-# kernel lint + perf smoke, then the three sanitizer builds (ASan,
-# TSan, UBSan). Run this before merging anything that touches src/.
-# Each stage uses its own build directory, so incremental reruns are
-# cheap.
+# The full local gate: the tier-1 build + unit-test suite, a Release
+# -Werror library build, a smoke run of every bench binary, the
+# batched-pipeline determinism check, the invariant/fuzz campaigns, the
+# golden replay manifest and sweep rows, the hot-path kernel lint +
+# perf smoke, then the three sanitizer builds (ASan, TSan, UBSan).
+# Run this before merging anything that touches src/. Each stage uses
+# its own build directory, so incremental reruns are cheap.
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -eu
@@ -20,6 +20,14 @@ echo "== tier-1: build + ctest =="
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== Release -Werror library build =="
+# Release (-O3) inlines deeper than the tier-1 RelWithDebInfo build, and
+# GCC 12 emits some diagnostics (-Wrestrict on string concatenation)
+# only there. Build the library once that way so none can creep back.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build build-release --target vmsim -j "$JOBS"
 
 echo "== bench smoke =="
 # One tiny sweep per bench binary: a flag or engine regression fails
@@ -83,7 +91,7 @@ echo "== invariant checks + differential fuzz =="
 # Every organization must satisfy its conservation and Table-4 laws
 # (docs/checking.md); exit 1 on any violation fails the gate.
 for sys in ULTRIX MACH INTEL PA-RISC NOTLB BASE HW-INVERTED HW-MIPS SPUR; do
-    build/examples/vmsim_cli --system="$sys" --instructions=50000 \
+    build/examples/vmsim_cli --system="$sys" --instructions=200000 \
         --warmup=10000 --interval=10000 --check > /dev/null
 done
 # Seeded fuzz campaign: scalar/batched/observed/cached legs must agree
@@ -245,6 +253,19 @@ echo "== golden replay manifest =="
 # hot-path "optimization" that moves a single counter fails here.
 scripts/golden_replay.sh build > "$SMOKE_DIR/golden_now.txt"
 cmp tests/golden/replay_sha256.txt "$SMOKE_DIR/golden_now.txt"
+
+echo "== golden sweep rows =="
+# Whole-sweep output the replay manifest never covers: the reduced
+# Figure 6 and Figure 8 gcc tables, generated by the unfused
+# simulator, at one and at four jobs.
+for fig in fig6_vmcpi_gcc fig8_breakdown_gcc; do
+    golden=tests/golden/sweep_$(echo "$fig" | sed 's/_[a-z]*_gcc$/_gcc/').csv
+    for jobs in 1 4; do
+        "build/bench/bench_$fig" --csv --instructions=200000 \
+            --warmup=50000 --jobs="$jobs" > "$SMOKE_DIR/sweep_$fig.csv"
+        cmp "$golden" "$SMOKE_DIR/sweep_$fig.csv"
+    done
+done
 
 echo "== kernel lint =="
 # The one block loop (refBlockKernel), and the inline cache path its

@@ -27,11 +27,12 @@ fsyncStream(std::FILE *file, const std::string &path)
 Status
 fsyncParentDir(const std::string &path)
 {
-    std::string dir;
-    std::size_t slash = path.find_last_of('/');
-    dir = slash == std::string::npos ? "." : path.substr(0, slash);
+    const std::size_t slash = path.find_last_of('/');
+    std::string dir = slash == std::string::npos
+                          ? std::string(1, '.')
+                          : path.substr(0, slash);
     if (dir.empty())
-        dir = "/";
+        dir.push_back('/');
     int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (fd < 0)
         return errnoError(dir, "cannot open directory '" + dir +

@@ -59,6 +59,16 @@ workerOptions(const std::string &dir, const std::string &owner)
     return sopts;
 }
 
+/** Shard owner id "<prefix><n>", built by append: GCC 12's Release
+ *  -Wrestrict misfires on `"w" + std::to_string(n)`. */
+std::string
+ownerName(char prefix, unsigned n)
+{
+    std::string owner(1, prefix);
+    owner += std::to_string(n);
+    return owner;
+}
+
 } // anonymous namespace
 
 std::string
@@ -144,7 +154,7 @@ runCrashFuzz(const CrashFuzzOptions &opts)
         std::vector<std::string> owners;
         for (unsigned w = 0; w < nWorkers; ++w) {
             ShardOptions sopts =
-                workerOptions(dir, "w" + std::to_string(w));
+                workerOptions(dir, ownerName('w', w));
             if (rng.chance(0.8)) {
                 sopts.crash.afterAppends =
                     static_cast<std::int64_t>(rng.uniform(8));
@@ -190,7 +200,7 @@ runCrashFuzz(const CrashFuzzOptions &opts)
             const std::string owner =
                 (!owners.empty() && rng.chance(0.5))
                     ? owners[rng.uniform(owners.size())]
-                    : "r" + std::to_string(attempt);
+                    : ownerName('r', static_cast<unsigned>(attempt));
             ShardOptions ropts = workerOptions(dir, owner);
             Expected<pid_t> pid = spawnFunction([&spec, ropts] {
                 runShardWorker(spec, ropts);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <utility>
 
@@ -94,6 +95,9 @@ FuzzTuple::toJson() const
     j.set("sharedL2Tlb", sharedL2Tlb);
     j.set("physFrames", physFrames);
     j.set("reclaim", reclaimPolicyName(reclaim));
+    j.set("altCaches", altCaches.l1.toString() + " + " +
+                           altCaches.l2.toString() +
+                           (altCaches.unifiedL2 ? " unified" : ""));
     return j;
 }
 
@@ -218,12 +222,35 @@ DiffRunner::generate(std::uint64_t index) const
     static constexpr ReclaimPolicy kPolicies[] = {
         ReclaimPolicy::Fifo, ReclaimPolicy::Lru, ReclaimPolicy::Clock};
     t.reclaim = kPolicies[rng.uniform(std::size(kPolicies))];
+    // The geometry leg's second geometry, drawn after every other field
+    // so earlier fields keep their values. Its L2 line differs from
+    // the tuple's, so the L2 miss stream — what NOTLB and SPUR refill
+    // on — cannot coincide by construction.
+    static constexpr std::size_t kAltL1Sizes[] = {4096, 8192, 16384,
+                                                  32768, 65536};
+    static constexpr std::size_t kAltL2Sizes[] = {262144, 524288,
+                                                  1048576};
+    static constexpr unsigned kAltAssoc[] = {1, 1, 2, 4};
+    CacheGeometry &g = t.altCaches;
+    g.l1.sizeBytes = kAltL1Sizes[rng.uniform(std::size(kAltL1Sizes))];
+    g.l1.lineSize = kL1Lines[rng.uniform(std::size(kL1Lines))];
+    g.l1.assoc = kAltAssoc[rng.uniform(std::size(kAltAssoc))];
+    g.l2.sizeBytes = kAltL2Sizes[rng.uniform(std::size(kAltL2Sizes))];
+    std::vector<unsigned> l2Lines;
+    for (unsigned line = g.l1.lineSize; line <= 128; line *= 2)
+        if (line != t.l2Line)
+            l2Lines.push_back(line);
+    g.l2.lineSize = l2Lines[rng.uniform(l2Lines.size())];
+    g.l2.assoc = kAltAssoc[rng.uniform(std::size(kAltAssoc))];
+    g.unifiedL2 = rng.chance(0.25);
     return t;
 }
 
 CheckReport
-DiffRunner::runCase(const FuzzTuple &t) const
+DiffRunner::runCase(const FuzzTuple &t, bool *geometry_moved) const
 {
+    if (geometry_moved)
+        *geometry_moved = false;
     CheckReport rep;
     SimConfig cfg = t.toConfig();
     Status st = cfg.validate();
@@ -240,7 +267,8 @@ DiffRunner::runCase(const FuzzTuple &t) const
         spec.seed = opts_.seed ^ (t.index * 0x9E3779B97F4A7C15ull);
     }
 
-    auto runLeg = [&](std::size_t batch, RunHooks hooks) -> Leg {
+    auto runLegAt = [&](const SimConfig &legCfg, std::size_t batch,
+                        RunHooks hooks) -> Leg {
         hooks.batch = batch;
         if (t.faults) {
             auto wrapped = std::move(hooks.wrapTrace);
@@ -255,19 +283,23 @@ DiffRunner::runCase(const FuzzTuple &t) const
         }
         Leg leg;
         try {
-            leg.r = runOnce(cfg, t.workload, t.instrs, t.warmup, hooks);
+            leg.r = runOnce(legCfg, t.workload, t.instrs, t.warmup,
+                            hooks);
             leg.ok = true;
         } catch (...) {
             leg.code = errorFromException(std::current_exception()).code;
         }
         return leg;
     };
+    auto runLeg = [&](std::size_t batch, RunHooks hooks) {
+        return runLegAt(cfg, batch, std::move(hooks));
+    };
 
     // Every strategy must match one-record blocks (the "scalar" leg):
     // same counters on success, same error classification on
-    // (injected) failure.
-    auto compareLegs = [&](const Leg &ref, const Leg &leg,
-                           const std::string &phase) {
+    // (injected) failure. @p diff compares two successful legs.
+    auto compareLegsWith = [&](const Leg &ref, const Leg &leg,
+                               const std::string &phase, auto &&diff) {
         CheckReport sub;
         if (ref.ok != leg.ok)
             sub.check(false, "outcome", "scalar ",
@@ -278,8 +310,12 @@ DiffRunner::runCase(const FuzzTuple &t) const
                       errorCodeName(ref.code), " vs ", phase, " ",
                       errorCodeName(leg.code));
         else
-            sub.merge(diffResults(ref.r, leg.r, "scalar", phase));
+            sub.merge(diff(ref.r, leg.r, "scalar", phase));
         rep.mergePrefixed(sub, phase + ".");
+    };
+    auto compareLegs = [&](const Leg &ref, const Leg &leg,
+                           const std::string &phase) {
+        compareLegsWith(ref, leg, phase, diffResults);
     };
 
     const Leg scalar = runLeg(1, RunHooks{});
@@ -308,6 +344,20 @@ DiffRunner::runCase(const FuzzTuple &t) const
         const Leg cached = runLeg(t.batch, cache_hooks);
         compareLegs(scalar, cached, "cached");
     }
+
+    // Geometry invariance: the tuple again at altCaches. A cache-blind
+    // organization must keep every non-cache counter (and fail the
+    // same way under faults); NOTLB and SPUR only report whether
+    // theirs moved, for the campaign-wide law in run().
+    SimConfig altCfg = cfg;
+    altCfg.setCaches(t.altCaches);
+    const Leg geometry = runLegAt(altCfg, t.batch, RunHooks{});
+    if (!kindReadsCacheState(t.kind))
+        compareLegsWith(scalar, geometry, "geometry", diffTranslation);
+    else if (geometry_moved && scalar.ok && geometry.ok)
+        *geometry_moved =
+            !diffTranslation(scalar.r, geometry.r, "scalar", "geometry")
+                 .ok();
 
     // Latency histograms and a live progress counter must be invisible
     // to the simulation: counters bit-identical to the bare scalar leg.
@@ -422,10 +472,17 @@ DiffRunner::run(unsigned cases) const
     FuzzReport report;
     report.seed = opts_.seed;
     report.cases = cases;
+    // Per cache-reading organization: its first tuple, and whether any
+    // tuple's counters moved with the geometry.
+    std::map<SystemKind, std::pair<FuzzTuple, bool>> dependence;
     for (unsigned i = 0; i < cases; ++i) {
         FuzzTuple t = generate(i);
-        CheckReport cr = runCase(t);
+        bool moved = false;
+        CheckReport cr = runCase(t, &moved);
         report.lawsChecked += cr.lawsChecked();
+        if (kindReadsCacheState(t.kind))
+            dependence.try_emplace(t.kind, t, false).first->second.second |=
+                moved;
         if (cr.ok())
             continue;
         FuzzFailure f;
@@ -434,6 +491,20 @@ DiffRunner::run(unsigned cases) const
         const std::string &law = cr.violations().front().law;
         f.phase = law.substr(0, law.find('.'));
         f.violations = cr.violations();
+        report.failures.push_back(std::move(f));
+    }
+    for (const auto &[kind, seen] : dependence) {
+        ++report.lawsChecked;
+        if (seen.second)
+            continue;
+        FuzzFailure f;
+        f.tuple = f.minimized = seen.first;
+        f.phase = "geometry";
+        f.violations.push_back(
+            {"geometry.dependence-unshown",
+             std::string(kindName(kind)) +
+                 " declares that it reads cache state, but no tuple's "
+                 "counters moved with the cache geometry"});
         report.failures.push_back(std::move(f));
     }
     return report;

@@ -6,7 +6,10 @@
  * observationally equivalent: one-record vs larger blocks of the
  * simulation loop, generated vs cached-replay traces, observed vs
  * unobserved runs must all produce bit-identical counter vectors, and
- * injected faults must fail every strategy identically. DiffRunner
+ * injected faults must fail every strategy identically. A second law
+ * spans cache geometries: an organization that does not read cache
+ * state (kindReadsCacheState()) keeps every non-cache counter at any
+ * geometry, which is what makes fused sweep groups exact. DiffRunner
  * hammers that promise with seeded random (organization, workload,
  * config, batch, context-switch, ASID, fault) tuples, audits every
  * successful leg with the InvariantChecker, shrinks failing tuples to
@@ -55,6 +58,8 @@ struct FuzzTuple
     bool sharedL2Tlb = true;  ///< share one L2 TLB across cores
     std::uint64_t physFrames = 0; ///< frame budget (0 = unlimited)
     ReclaimPolicy reclaim = ReclaimPolicy::Fifo;
+    CacheGeometry altCaches;  ///< the geometry leg's second geometry;
+                              ///< its L2 line always differs from l2Line
 
     SimConfig toConfig() const;
     Json toJson() const;
@@ -106,16 +111,28 @@ class DiffRunner
     /**
      * Run one tuple through every leg: the "scalar" reference
      * (one-record blocks), batched (the tuple's block size), observed
-     * (+ full invariant audit), cached replay, and — for
-     * warmup-free fault-free tuples — the live-TLB laws. Violation
-     * law names are prefixed with the failing leg.
+     * (+ full invariant audit), cached replay, geometry (the tuple at
+     * altCaches: an organization that does not read cache state must
+     * reproduce every non-cache counter) and — for warmup-free
+     * fault-free tuples — the live-TLB laws. Violation law names are
+     * prefixed with the failing leg. When @p geometry_moved is given
+     * it is set to whether the geometry leg ran and its non-cache
+     * counters differed from the scalar leg's.
      */
-    CheckReport runCase(const FuzzTuple &tuple) const;
+    CheckReport runCase(const FuzzTuple &tuple,
+                        bool *geometry_moved = nullptr) const;
 
     /** Shrink a failing tuple while it keeps failing. */
     FuzzTuple minimize(FuzzTuple tuple) const;
 
-    /** Run @p cases tuples and collect (minimized) failures. */
+    /**
+     * Run @p cases tuples and collect (minimized) failures. One law
+     * spans the campaign: each organization that declares it reads
+     * cache state and ran through the geometry leg must show, in at
+     * least one tuple, counters that moved with the geometry — else
+     * the declaration would cost fusion for nothing (phase
+     * "geometry").
+     */
     FuzzReport run(unsigned cases) const;
 
   private:

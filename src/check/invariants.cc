@@ -541,8 +541,8 @@ checkTelemetry(const TelemetrySnapshot &snap, bool final,
 }
 
 CheckReport
-diffResults(const Results &a, const Results &b,
-            const std::string &label_a, const std::string &label_b)
+diffTranslation(const Results &a, const Results &b,
+                const std::string &label_a, const std::string &label_b)
 {
     CheckReport rep;
     rep.check(a.system() == b.system() && a.workload() == b.workload(),
@@ -583,6 +583,14 @@ diffResults(const Results &a, const Results &b,
                       cb.majorFaults, ")");
         }
     }
+    return rep;
+}
+
+CheckReport
+diffResults(const Results &a, const Results &b,
+            const std::string &label_a, const std::string &label_b)
+{
+    CheckReport rep = diffTranslation(a, b, label_a, label_b);
     for (unsigned c = 0; c < kNumAccessClasses; ++c) {
         for (int side = 0; side < 2; ++side) {
             const ClassCounters &ca =

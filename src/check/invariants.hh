@@ -153,6 +153,16 @@ CheckReport diffResults(const Results &a, const Results &b,
                         const std::string &label_b);
 
 /**
+ * The non-cache half of diffResults(): labels, user instructions, every
+ * VmStats counter and the per-core slices. Two runs of an organization
+ * that does not read cache state (kindReadsCacheState()) must agree
+ * here at any two cache geometries.
+ */
+CheckReport diffTranslation(const Results &a, const Results &b,
+                            const std::string &label_a,
+                            const std::string &label_b);
+
+/**
  * Conservation law for partial (canceled) runs: the simulator's
  * executed-instruction count must equal the user instruction fetches
  * the memory system actually saw — no instruction half-retired.

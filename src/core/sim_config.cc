@@ -69,6 +69,12 @@ kindHasTlb(SystemKind kind)
 }
 
 bool
+kindReadsCacheState(SystemKind kind)
+{
+    return kind == SystemKind::Notlb || kind == SystemKind::Spur;
+}
+
+bool
 kindUsesSoftwareRefill(SystemKind kind)
 {
     switch (kind) {

@@ -72,6 +72,16 @@ SystemKind kindFromName(const std::string &name);
 /** True for organizations that use a TLB. */
 bool kindHasTlb(SystemKind kind);
 
+/**
+ * True for organizations whose translation reads cache state: NOTLB
+ * and SPUR refill only when a user reference misses the L2 cache, and
+ * branch on whether the PTE load missed it too. Every other
+ * organization's TLB misses, refills and page-table traffic are the
+ * same at every cache geometry, so a sweep may run cells that differ
+ * only in their caches as one fused replay (docs/sweeps.md).
+ */
+bool kindReadsCacheState(SystemKind kind);
+
 /** True for organizations that refill via software handlers. */
 bool kindUsesSoftwareRefill(SystemKind kind);
 
@@ -92,6 +102,22 @@ struct CostModel
      * Applies only to hardware-walked organizations.
      */
     double hwWalkOverlap = 0.0;
+
+    bool operator==(const CostModel &) const = default;
+};
+
+/**
+ * The cache half of a SimConfig: both levels' geometry and whether
+ * the L2 is unified. Cells of a sweep that differ only here can share
+ * one translation run (kindReadsCacheState()).
+ */
+struct CacheGeometry
+{
+    CacheParams l1{32_KiB, 32, 1};
+    CacheParams l2{1_MiB, 64, 1};
+    bool unifiedL2 = false;
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /** Full configuration of one simulation run. */
@@ -222,6 +248,32 @@ struct SimConfig
 
     /** One-line description for table headers / logs. */
     std::string toString() const;
+
+    /** The cache geometry (l1, l2, unifiedL2). */
+    CacheGeometry
+    caches() const
+    {
+        return {l1, l2, unifiedL2};
+    }
+
+    /** Replace the cache geometry, leaving every other field alone. */
+    void
+    setCaches(const CacheGeometry &g)
+    {
+        l1 = g.l1;
+        l2 = g.l2;
+        unifiedL2 = g.unifiedL2;
+    }
+
+    /** True when @p o differs from this config at most in caches(). */
+    bool
+    sameExceptCaches(SimConfig o) const
+    {
+        o.setCaches(caches());
+        return o == *this;
+    }
+
+    bool operator==(const SimConfig &) const = default;
 };
 
 } // namespace vmsim

@@ -78,6 +78,33 @@ TEST(DiffRunner, SeededCampaignFindsNoDivergence)
     EXPECT_GT(report.lawsChecked, 0u);
 }
 
+TEST(DiffRunner, GeometryLegSeparatesCacheReadingOrganizations)
+{
+    // Cache-blind organizations keep every non-cache counter at the
+    // second geometry (runCase stays clean); NOTLB and SPUR show their
+    // dependence — the two halves of kindReadsCacheState().
+    DiffOptions opts;
+    opts.seed = 20260806;
+    opts.includeFaults = false;
+    DiffRunner runner(opts);
+    unsigned blind = 0, moved = 0;
+    for (std::uint64_t i = 0; i < 200 && (blind < 4 || moved < 2); ++i) {
+        FuzzTuple t = runner.generate(i);
+        EXPECT_NE(t.altCaches.l2.lineSize, t.l2Line) << t.toString();
+        bool m = false;
+        CheckReport rep = runner.runCase(t, &m);
+        EXPECT_TRUE(rep.ok()) << t.toString();
+        if (kindReadsCacheState(t.kind)) {
+            moved += m;
+        } else {
+            EXPECT_FALSE(m) << t.toString();
+            ++blind;
+        }
+    }
+    EXPECT_GE(blind, 4u);
+    EXPECT_GE(moved, 2u);
+}
+
 TEST(DiffRunner, ReportIsByteStableAcrossReruns)
 {
     DiffOptions opts;
