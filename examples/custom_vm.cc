@@ -53,25 +53,27 @@ class TwoLevelHashedVm : public VmSystem
     /**
      * The reference kernels the shared block loop (refBlockFor) calls
      * for every record: non-virtual, instantiated with and without the
-     * observer tests (kObs). This organization keeps a single TLB pair
-     * and no per-core lane, so it takes VmSystem's empty NoLane.
+     * observer tests (kObs) and per memory sink (Mem: the MemSystem, or
+     * the fan-out of a fused sweep group). This organization keeps a
+     * single TLB pair and no per-core lane, so it takes VmSystem's
+     * empty NoLane.
      */
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    instRefK(const Access &a, NoLane)
+    instRefK(const Access &a, NoLane, Mem &mem)
     {
         if (!itlb_.lookupT<kObs>(pt_.vpnOf(a.addr)))
             walk(a.addr, itlb_);
-        mem_.instFetch(a.addr, AccessClass::User);
+        mem.instFetch(a.addr, AccessClass::User);
     }
 
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    dataRefK(const Access &a, NoLane)
+    dataRefK(const Access &a, NoLane, Mem &mem)
     {
         if (!dtlb_.lookupT<kObs>(pt_.vpnOf(a.addr)))
             walk(a.addr, dtlb_);
-        mem_.dataAccess(a.addr, kDataBytes, a.store, AccessClass::User);
+        mem.dataAccess(a.addr, kDataBytes, a.store, AccessClass::User);
     }
 
     void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }

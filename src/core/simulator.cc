@@ -123,14 +123,35 @@ Simulator::run(Counter max_instrs)
 }
 
 System::System(const SimConfig &config)
-    : config_(config)
+    : System(std::vector<SimConfig>{config})
+{}
+
+System::System(const std::vector<SimConfig> &group)
 {
+    panicIf(group.empty(), "System needs at least one config");
+    config_ = group.front();
     config_.validate().orThrow();
     physMem_ = std::make_unique<PhysMem>(config_.physMemBytes,
                                          config_.pageBits);
     mem_ = std::make_unique<MemSystem>(config_.l1, config_.l2,
                                        config_.unifiedL2);
     vm_ = makeVmSystem(config_, *mem_, *physMem_);
+    if (group.size() > 1) {
+        panicIf(kindReadsCacheState(config_.kind), kindName(config_.kind),
+                " reads cache state and cannot run a fused group");
+        std::vector<MemSystem *> extra;
+        for (std::size_t k = 1; k < group.size(); ++k) {
+            const SimConfig &c = group[k];
+            panicIf(!config_.sameExceptCaches(c),
+                    "fused group member ", k,
+                    " differs from the first beyond its caches");
+            c.validate().orThrow();
+            extraMems_.push_back(std::make_unique<MemSystem>(
+                c.l1, c.l2, c.unifiedL2));
+            extra.push_back(extraMems_.back().get());
+        }
+        vm_->fanOut(extra);
+    }
     // Arm the frame budget only after the organization has made its
     // page-table reservations, so the pool governs demand paging alone.
     if (config_.physFrames != 0) {
@@ -205,9 +226,13 @@ System::finishRun(Simulator &sim, Counter max_instrs,
     // counters.
     vm_->attachEventSink(nullptr);
     vm_->attachLatency(nullptr);
+    panicIf(!extraMems_.empty() && (sink_ || latency_ || sampler_),
+            "observers need a one-config System");
     if (warmup_instrs > 0) {
         sim.run(warmup_instrs);
         mem_->resetStats();
+        for (auto &m : extraMems_)
+            m->resetStats();
         vm_->resetVmStats();
     }
     vm_->attachEventSink(sink_);
@@ -228,7 +253,16 @@ System::finishRun(Simulator &sim, Counter max_instrs,
         sampler_->finish(sim.instructionsExecuted(), *vm_);
     if (sink_)
         sink_->flush();
-    return Results(vm_->name(), workload_name, executed_, mem_->stats(),
+    workload_ = workload_name;
+    return resultsAt(0);
+}
+
+Results
+System::resultsAt(std::size_t k) const
+{
+    panicIf(k > extraMems_.size(), "no cache hierarchy ", k);
+    const MemSystem &m = k == 0 ? *mem_ : *extraMems_[k - 1];
+    return Results(vm_->name(), workload_, executed_, m.stats(),
                    vm_->vmStats(), config_.costs);
 }
 
@@ -239,40 +273,78 @@ runOnce(const SimConfig &config, const std::string &workload,
     return runOnce(config, workload, instrs, warmup_instrs, RunHooks{});
 }
 
-Results
-runOnce(const SimConfig &config, const std::string &workload,
-        Counter instrs, std::optional<Counter> warmup_instrs,
-        const RunHooks &hooks)
+namespace
 {
-    // The trace cache substitutes a replay cursor here; otherwise
-    // generate the named workload. Either way, capture the display
-    // name before any wrapping: wrappers are plain TraceSources with
-    // no name of their own.
-    std::unique_ptr<TraceSource> source;
-    std::string name;
+
+/**
+ * The trace a run consumes: the trace cache's replay cursor when
+ * @p hooks supplies one, else the generated workload, wrapped by
+ * hooks.wrapTrace. The display name is captured before any wrapping:
+ * wrappers are plain TraceSources with no name of their own.
+ */
+NamedTraceSource
+openTrace(const SimConfig &config, const std::string &workload,
+          const RunHooks &hooks)
+{
+    NamedTraceSource named;
     if (hooks.makeTrace) {
-        NamedTraceSource named = hooks.makeTrace();
-        source = std::move(named.source);
-        name = std::move(named.name);
+        named = hooks.makeTrace();
     } else {
         auto trace = makeWorkload(workload, config.seed);
-        name = trace->name();
-        source = std::move(trace);
+        named.name = trace->name();
+        named.source = std::move(trace);
     }
     if (hooks.wrapTrace)
-        source = hooks.wrapTrace(std::move(source));
-    System system(config);
+        named.source = hooks.wrapTrace(std::move(named.source));
+    return named;
+}
+
+/** Attach @p hooks to @p system and run @p trace through it. */
+Results
+runSystem(System &system, NamedTraceSource &trace, Counter instrs,
+          std::optional<Counter> warmup_instrs, const RunHooks &hooks)
+{
     system.attachEventSink(hooks.sink);
     system.attachSampler(hooks.sampler);
     system.attachCancel(hooks.cancel);
     system.attachProgress(hooks.progress);
     system.attachLatency(hooks.latency);
     system.setBatchSize(hooks.batch);
-    Results r = system.run(*source, instrs, name,
-                           warmup_instrs.value_or(defaultWarmup(instrs)));
+    return system.run(*trace.source, instrs, trace.name,
+                      warmup_instrs.value_or(defaultWarmup(instrs)));
+}
+
+} // namespace
+
+Results
+runOnce(const SimConfig &config, const std::string &workload,
+        Counter instrs, std::optional<Counter> warmup_instrs,
+        const RunHooks &hooks)
+{
+    NamedTraceSource trace = openTrace(config, workload, hooks);
+    System system(config);
+    Results r = runSystem(system, trace, instrs, warmup_instrs, hooks);
     if (hooks.audit)
         hooks.audit(r);
     return r;
+}
+
+std::vector<Results>
+runFused(const std::vector<SimConfig> &group, const std::string &workload,
+         Counter instrs, std::optional<Counter> warmup_instrs,
+         const RunHooks &hooks)
+{
+    panicIf(group.empty(), "runFused needs at least one config");
+    panicIf(hooks.wrapTrace || hooks.audit,
+            "runFused takes no trace wrapper or audit");
+    NamedTraceSource trace = openTrace(group.front(), workload, hooks);
+    System system(group);
+    std::vector<Results> out;
+    out.reserve(group.size());
+    out.push_back(runSystem(system, trace, instrs, warmup_instrs, hooks));
+    for (std::size_t k = 1; k < group.size(); ++k)
+        out.push_back(system.resultsAt(k));
+    return out;
 }
 
 } // namespace vmsim

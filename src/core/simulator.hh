@@ -176,6 +176,17 @@ class System
      * when SimConfig::validate() rejects the configuration.
      */
     explicit System(const SimConfig &config);
+
+    /**
+     * A fused machine: @p group[0]'s organization and translation run
+     * once, and every memory access fans out to one cache hierarchy
+     * per entry of @p group (VmSystem::fanOut). The entries must differ
+     * only in caches() and their organization must not read cache
+     * state (kindReadsCacheState()); run() then returns hierarchy 0's
+     * Results and resultsAt(k) each other's. Observers (event sink,
+     * sampler, latency collector) need a one-entry group.
+     */
+    explicit System(const std::vector<SimConfig> &group);
     ~System();
 
     System(const System &) = delete;
@@ -196,6 +207,13 @@ class System
     Results run(TraceSource &trace, Counter max_instrs,
                 const std::string &workload_name = "trace",
                 Counter warmup_instrs = 0);
+
+    /**
+     * The Results of cache hierarchy @p k (k < the group's size) over
+     * the runs so far: the shared VmStats with that hierarchy's
+     * MemSystemStats. resultsAt(0) is what the last run() returned.
+     */
+    Results resultsAt(std::size_t k) const;
 
     VmSystem &vm() { return *vm_; }
     MemSystem &mem() { return *mem_; }
@@ -273,8 +291,10 @@ class System
     SimConfig config_;
     std::unique_ptr<PhysMem> physMem_;
     std::unique_ptr<MemSystem> mem_;
+    std::vector<std::unique_ptr<MemSystem>> extraMems_; ///< fused group
     std::unique_ptr<VmSystem> vm_;
     Counter executed_ = 0;
+    std::string workload_; ///< name the last run() reported
     EventSink *sink_ = nullptr;
     IntervalSampler *sampler_ = nullptr;
     const std::atomic<bool> *cancel_ = nullptr;
@@ -354,6 +374,18 @@ struct RunHooks
 Results runOnce(const SimConfig &config, const std::string &workload,
                 Counter instrs, std::optional<Counter> warmup_instrs,
                 const RunHooks &hooks);
+
+/**
+ * runOnce() for a fused group (System(const std::vector<SimConfig> &)):
+ * one replay and one translation run for every config of @p group,
+ * returning their Results in order. Each equals runOnce() of that
+ * config alone. @p hooks may carry cancel, progress, makeTrace and
+ * batch; observers, wrapTrace and audit need runOnce().
+ */
+std::vector<Results> runFused(const std::vector<SimConfig> &group,
+                              const std::string &workload, Counter instrs,
+                              std::optional<Counter> warmup_instrs,
+                              const RunHooks &hooks);
 
 } // namespace vmsim
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -580,6 +581,87 @@ CellRunner::CellRunner(const SweepSpec &spec, const ObsOptions &obs,
       cache_(cache)
 {}
 
+namespace
+{
+
+/**
+ * Run @p attempt (called with the 1-based attempt number; throws to
+ * fail) until it succeeds, fails for good, or exhausts @p retry's
+ * transient-failure retries, with @p extra's attempt, retry and
+ * classification hooks around each try. Never throws.
+ */
+template <class Attempt>
+CellOutcome
+withRetries(const RetryPolicy &retry, const CellRunner::Hooks &extra,
+            Attempt &&attempt)
+{
+    const unsigned maxAttempts = 1 + retry.maxRetries;
+    CellOutcome outcome;
+    for (unsigned attempts = 1;; ++attempts) {
+        outcome.attempts = attempts;
+        try {
+            if (extra.onAttempt)
+                extra.onAttempt();
+            attempt(attempts);
+            outcome.ok = true;
+            return outcome;
+        } catch (...) {
+            Error err = errorFromException(std::current_exception());
+            if (extra.classify)
+                extra.classify(err);
+            if (err.transient && attempts < maxAttempts) {
+                if (extra.onRetry)
+                    extra.onRetry();
+                if (retry.backoffSeconds > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::duration<double>(
+                            retry.backoffSeconds *
+                            double(1u << (attempts - 1))));
+                continue;
+            }
+            outcome.ok = false;
+            outcome.error = std::move(err);
+            return outcome;
+        }
+    }
+}
+
+/**
+ * The RunHooks::makeTrace of a cell that replays @p cache's shared
+ * recording of (@p workload, @p seed) when it fits, else generates the
+ * workload. The cursor carries the workload's own name so Results are
+ * indistinguishable from a generated run; @p replayed receives the
+ * recording that was lent, if any.
+ */
+std::function<NamedTraceSource()>
+replayOrGenerate(TraceCache *cache, const std::string &workload,
+                 std::uint64_t seed, Counter records,
+                 std::shared_ptr<const RecordedTrace> &replayed)
+{
+    return [cache, workload, seed, records,
+            &replayed]() -> NamedTraceSource {
+        auto recorded = cache->acquire(workload, seed, records);
+        if (recorded) {
+            std::string name = recorded->name();
+            replayed = recorded;
+            return {std::make_unique<ReplayCursor>(std::move(recorded)),
+                    std::move(name)};
+        }
+        auto gen = makeWorkload(workload, seed);
+        std::string name = gen->name();
+        return {std::move(gen), std::move(name)};
+    };
+}
+
+} // anonymous namespace
+
+bool
+CellRunner::fuses() const
+{
+    return !verify_ && !wantLatency_ && !faults_.any() &&
+           obs_.traceEvents.empty() && obs_.interval == 0;
+}
+
 CellExecution
 CellRunner::run(std::size_t flat) const
 {
@@ -596,132 +678,267 @@ CellRunner::run(std::size_t flat, const Hooks &extra) const
     // count a shared recording must cover to replace generation.
     const Counter executed =
         instrs + spec_.warmupCount().value_or(defaultWarmup(instrs));
-    const unsigned maxAttempts = 1 + retry_.maxRetries;
 
-    unsigned attempts = 0;
-    while (true) {
-        ++attempts;
-        try {
-            if (extra.onAttempt)
-                extra.onAttempt();
+    out.outcome = withRetries(retry_, extra, [&](unsigned attempts) {
+        RunHooks hooks;
+        std::unique_ptr<JsonlEventWriter> events;
+        if (!obs_.traceEvents.empty()) {
+            events = std::make_unique<JsonlEventWriter>(
+                cellEventPath(obs_.traceEvents, flat,
+                              spec_.numCells()));
+            hooks.sink = events.get();
+        }
+        std::unique_ptr<IntervalSampler> sampler;
+        if (obs_.interval) {
+            sampler =
+                std::make_unique<IntervalSampler>(obs_.interval);
+            hooks.sampler = sampler.get();
+        }
+        hooks.progress = extra.progress;
+        if (wantLatency_) {
+            out.latency = std::make_unique<LatencyCollector>();
+            hooks.latency = out.latency.get();
+        }
+        // Fault streams are keyed by (cell, attempt): the same
+        // run is deterministic, yet a retried attempt rolls
+        // fresh faults and can succeed — transient semantics.
+        std::unique_ptr<FaultySink> faultySink;
+        if (faults_.writeFail > 0) {
+            faultySink = std::make_unique<FaultySink>(
+                hooks.sink, faults_,
+                faultStream(faults_.seed, flat, attempts - 1) ^ 1);
+            hooks.sink = faultySink.get();
+        }
+        if (faults_.any()) {
+            EventSink *obsSink = events.get();
+            std::uint64_t stream =
+                faultStream(faults_.seed, flat, attempts - 1);
+            const FaultSpec &fs = faults_;
+            hooks.wrapTrace =
+                [fs, stream, obsSink](
+                    std::unique_ptr<TraceSource> inner) {
+                    return std::make_unique<FaultyTraceSource>(
+                        std::move(inner), fs, stream, obsSink);
+                };
+        }
+        hooks.cancel = extra.cancel;
+        hooks.batch = batchSize_;
+        // Fault wrapping (wrapTrace) applies on top of whatever
+        // source the trace cache lends.
+        std::shared_ptr<const RecordedTrace> replayed;
+        if (cache_)
+            hooks.makeTrace =
+                replayOrGenerate(cache_, cell.workload,
+                                 cell.config.seed, executed, replayed);
+
+        if (verify_) {
+            // A broken law throws Internal out of runOnce and
+            // lands in the cell's failure outcome below. The
+            // latency collector (when attached) is audited
+            // against the same Results.
+            InvariantChecker checker(cell.config);
+            const LatencyCollector *lat = hooks.latency;
+            hooks.audit = [checker, lat](const Results &res) {
+                checker.checkAll(res, nullptr, nullptr, lat)
+                    .orThrow();
+            };
+        }
+
+        Results r = runOnce(cell.config, cell.workload, instrs,
+                            spec_.warmupCount(), hooks);
+
+        // The recording is shared by every cell that replays it:
+        // under --check, prove the simulator didn't scribble on
+        // the lent buffer (RecordedTrace framing) before another
+        // cell replays the damage.
+        if (verify_ && replayed)
+            replayed->verifyIntegrity().orThrow();
+
+        if (sampler)
+            out.summary = summarizeIntervals(sampler->intervals());
+        out.results = std::move(r);
+    });
+    return out;
+}
+
+std::vector<CellExecution>
+CellRunner::runGroup(const std::vector<std::size_t> &flats,
+                     const Hooks &extra) const
+{
+    panicIf(flats.empty() || !fuses(),
+            "runGroup needs cells and a policy that fuses them");
+    std::vector<SimConfig> group;
+    group.reserve(flats.size());
+    for (std::size_t flat : flats)
+        group.push_back(spec_.cell(flat).config);
+    const SweepCell first = spec_.cell(flats.front());
+    const Counter instrs = spec_.instructionCount();
+    const Counter executed =
+        instrs + spec_.warmupCount().value_or(defaultWarmup(instrs));
+
+    std::vector<Results> results;
+    const CellOutcome outcome =
+        withRetries(retry_, extra, [&](unsigned) {
             RunHooks hooks;
-            std::unique_ptr<JsonlEventWriter> events;
-            if (!obs_.traceEvents.empty()) {
-                events = std::make_unique<JsonlEventWriter>(
-                    cellEventPath(obs_.traceEvents, flat,
-                                  spec_.numCells()));
-                hooks.sink = events.get();
-            }
-            std::unique_ptr<IntervalSampler> sampler;
-            if (obs_.interval) {
-                sampler =
-                    std::make_unique<IntervalSampler>(obs_.interval);
-                hooks.sampler = sampler.get();
-            }
             hooks.progress = extra.progress;
-            if (wantLatency_) {
-                out.latency = std::make_unique<LatencyCollector>();
-                hooks.latency = out.latency.get();
-            }
-            // Fault streams are keyed by (cell, attempt): the same
-            // run is deterministic, yet a retried attempt rolls
-            // fresh faults and can succeed — transient semantics.
-            std::unique_ptr<FaultySink> faultySink;
-            if (faults_.writeFail > 0) {
-                faultySink = std::make_unique<FaultySink>(
-                    hooks.sink, faults_,
-                    faultStream(faults_.seed, flat, attempts - 1) ^ 1);
-                hooks.sink = faultySink.get();
-            }
-            if (faults_.any()) {
-                EventSink *obsSink = events.get();
-                std::uint64_t stream =
-                    faultStream(faults_.seed, flat, attempts - 1);
-                const FaultSpec &fs = faults_;
-                hooks.wrapTrace =
-                    [fs, stream, obsSink](
-                        std::unique_ptr<TraceSource> inner) {
-                        return std::make_unique<FaultyTraceSource>(
-                            std::move(inner), fs, stream, obsSink);
-                    };
-            }
             hooks.cancel = extra.cancel;
             hooks.batch = batchSize_;
             std::shared_ptr<const RecordedTrace> replayed;
-            if (cache_) {
-                // Replay the shared recording when it fits; the
-                // cursor carries the workload's own name so
-                // Results are indistinguishable from a generated
-                // run. Fault wrapping (wrapTrace) still applies on
-                // top of whatever source this returns.
-                TraceCache *cache = cache_;
-                hooks.makeTrace = [cache, &cell, executed,
-                                   &replayed]() -> NamedTraceSource {
-                    auto recorded = cache->acquire(
-                        cell.workload, cell.config.seed, executed);
-                    if (recorded) {
-                        std::string name = recorded->name();
-                        replayed = recorded;
-                        return {std::make_unique<ReplayCursor>(
-                                    std::move(recorded)),
-                                std::move(name)};
-                    }
-                    auto gen =
-                        makeWorkload(cell.workload, cell.config.seed);
-                    std::string name = gen->name();
-                    return {std::move(gen), std::move(name)};
-                };
+            if (cache_)
+                hooks.makeTrace =
+                    replayOrGenerate(cache_, first.workload,
+                                     first.config.seed, executed, replayed);
+            results = runFused(group, first.workload, instrs,
+                               spec_.warmupCount(), hooks);
+        });
+
+    std::vector<CellExecution> out(flats.size());
+    for (std::size_t k = 0; k < flats.size(); ++k) {
+        out[k].outcome = outcome;
+        if (outcome.ok)
+            out[k].results = std::move(results[k]);
+    }
+    return out;
+}
+
+namespace
+{
+
+/** Tag-array bytes of one cache hierarchy: four caches' tags, plus LRU
+ *  stamps for the associative ones (a unified L2 holds as many lines as
+ *  the two split ones). */
+std::size_t
+hierarchyBytes(const CacheGeometry &g)
+{
+    auto cacheBytes = [](const CacheParams &p) {
+        return std::size_t(p.sizeBytes / p.lineSize) * sizeof(Addr) *
+               (p.assoc > 1 ? 2 : 1);
+    };
+    return 2 * cacheBytes(g.l1) + 2 * cacheBytes(g.l2);
+}
+
+} // anonymous namespace
+
+std::vector<std::vector<std::size_t>>
+planSweepTasks(const SweepSpec &spec,
+               const std::vector<std::size_t> &pending, bool fuse,
+               unsigned jobs)
+{
+    std::vector<std::vector<std::size_t>> tasks;
+    tasks.reserve(pending.size());
+    if (!fuse) {
+        for (std::size_t flat : pending)
+            tasks.push_back({flat});
+        return tasks;
+    }
+
+    // Group cells whose configs differ only in caches(), in order of
+    // each group's first cell. A cell whose organization reads cache
+    // state, or whose config is invalid (it fails alone, with its own
+    // error), forms a group of one.
+    struct Group
+    {
+        SweepCell first;
+        std::vector<std::size_t> cells;
+        std::size_t bytes = 0; ///< tag-array bytes of the whole group
+        bool open = false;     ///< may take more cells
+    };
+    std::vector<Group> groups;
+    std::vector<std::size_t> cellBytes(spec.numCells(), 0);
+    for (std::size_t flat : pending) {
+        SweepCell cell = spec.cell(flat);
+        const bool fusable = !kindReadsCacheState(cell.config.kind) &&
+                             cell.config.validate().ok();
+        cellBytes[flat] = hierarchyBytes(cell.config.caches());
+        Group *g = nullptr;
+        if (fusable)
+            for (Group &cand : groups)
+                if (cand.open && cand.first.workload == cell.workload &&
+                    cand.first.config.sameExceptCaches(cell.config)) {
+                    g = &cand;
+                    break;
+                }
+        if (!g) {
+            groups.push_back({std::move(cell), {}, 0, fusable});
+            g = &groups.back();
+        }
+        g->cells.push_back(flat);
+        g->bytes += cellBytes[flat];
+    }
+
+    // Chunk each group so its tag arrays together take no more bytes
+    // than the recording it replays (a task must not cost more memory
+    // than the trace it shares), then split the largest chunks until
+    // the pool has at least two tasks per worker.
+    const Counter instrs = spec.instructionCount();
+    const std::size_t budget =
+        (instrs + spec.warmupCount().value_or(defaultWarmup(instrs))) *
+        sizeof(TraceRecord);
+    struct Chunk
+    {
+        std::size_t group;
+        std::vector<std::size_t> cells;
+    };
+    std::vector<Chunk> chunks;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        std::size_t used = 0;
+        for (std::size_t flat : groups[gi].cells) {
+            if (chunks.empty() || chunks.back().group != gi ||
+                used + cellBytes[flat] > budget) {
+                chunks.push_back({gi, {}});
+                used = 0;
             }
-
-            if (verify_) {
-                // A broken law throws Internal out of runOnce and
-                // lands in the cell's failure outcome below. The
-                // latency collector (when attached) is audited
-                // against the same Results.
-                InvariantChecker checker(cell.config);
-                const LatencyCollector *lat = hooks.latency;
-                hooks.audit = [checker, lat](const Results &res) {
-                    checker.checkAll(res, nullptr, nullptr, lat)
-                        .orThrow();
-                };
-            }
-
-            Results r = runOnce(cell.config, cell.workload, instrs,
-                                spec_.warmupCount(), hooks);
-
-            // The recording is shared by every cell that replays it:
-            // under --check, prove the simulator didn't scribble on
-            // the lent buffer (RecordedTrace framing) before another
-            // cell replays the damage.
-            if (verify_ && replayed)
-                replayed->verifyIntegrity().orThrow();
-
-            if (sampler)
-                out.summary = summarizeIntervals(sampler->intervals());
-            out.results = std::move(r);
-            out.outcome.ok = true;
-            out.outcome.attempts = attempts;
-            return out;
-        } catch (...) {
-            Error err = errorFromException(std::current_exception());
-            if (extra.classify)
-                extra.classify(err);
-            if (err.transient && attempts < maxAttempts) {
-                if (extra.onRetry)
-                    extra.onRetry();
-                if (retry_.backoffSeconds > 0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            retry_.backoffSeconds *
-                            double(1u << (attempts - 1))));
-                continue;
-            }
-            out.outcome.ok = false;
-            out.outcome.error = std::move(err);
-            out.outcome.attempts = attempts;
-            return out;
+            chunks.back().cells.push_back(flat);
+            used += cellBytes[flat];
         }
     }
+    while (chunks.size() < 2 * std::size_t{jobs}) {
+        auto big = std::max_element(
+            chunks.begin(), chunks.end(), [](const Chunk &a, const Chunk &b) {
+                return a.cells.size() < b.cells.size();
+            });
+        if (big == chunks.end() || big->cells.size() < 2)
+            break;
+        const auto mid = big->cells.begin() +
+                         static_cast<std::ptrdiff_t>(big->cells.size() / 2);
+        Chunk tail{big->group, {mid, big->cells.end()}};
+        big->cells.erase(mid, big->cells.end());
+        chunks.insert(big + 1, std::move(tail));
+    }
+
+    const bool anyFused =
+        std::any_of(chunks.begin(), chunks.end(),
+                    [](const Chunk &c) { return c.cells.size() > 1; });
+    if (!anyFused) {
+        // No group formed: today's grid order, which interleaves the
+        // recordings so workers rarely wait on each other's.
+        for (std::size_t flat : pending)
+            tasks.push_back({flat});
+        return tasks;
+    }
+    // One trace key (workload, seed) at a time, in order of first
+    // appearance; inside a key, fused chunks before solo cells. A
+    // recording is then live only while its key's tasks run.
+    std::vector<std::pair<std::string, std::uint64_t>> keys;
+    auto keyIndex = [&](const Group &g) {
+        const std::pair<std::string, std::uint64_t> key{
+            g.first.workload, g.first.config.seed};
+        auto it = std::find(keys.begin(), keys.end(), key);
+        if (it != keys.end())
+            return static_cast<std::size_t>(it - keys.begin());
+        keys.push_back(key);
+        return keys.size() - 1;
+    };
+    std::vector<std::size_t> chunkKey(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c)
+        chunkKey[c] = keyIndex(groups[chunks[c].group]);
+    for (std::size_t key = 0; key < keys.size(); ++key)
+        for (bool fused : {true, false})
+            for (std::size_t c = 0; c < chunks.size(); ++c)
+                if (chunkKey[c] == key &&
+                    (chunks[c].cells.size() > 1) == fused)
+                    tasks.push_back(chunks[c].cells);
+    return tasks;
 }
 
 SweepResults
@@ -868,22 +1085,47 @@ SweepRunner::run(const SweepSpec &spec) const
     const auto sweepStart = std::chrono::steady_clock::now();
     CellRunner cellRunner(spec, obs_, retry_, faults_, batchSize_,
                           verify_, wantLatency, traceCache.get());
-    auto runCell = [&](std::size_t i) {
+    // Tasks in dispatch order: solo cells, and the chunks of fused
+    // groups (cells differing only in caches, run as one replay).
+    const std::vector<std::vector<std::size_t>> tasks =
+        planSweepTasks(spec, pending, cellRunner.fuses(), jobs_);
+
+    // Drop each recording once the last task replaying it has ended,
+    // retries included, so a trace-by-trace dispatch holds only the
+    // recordings in flight rather than all of them.
+    using TraceKey = std::pair<std::string, std::uint64_t>;
+    std::map<TraceKey, std::size_t> tasksLeft;
+    std::mutex tasksLeftMutex;
+    auto traceKeyOf = [&](std::size_t flat) {
+        const SweepCell cell = spec.cell(flat);
+        return TraceKey{cell.workload, cell.config.seed};
+    };
+    if (traceCache)
+        for (const std::vector<std::size_t> &task : tasks)
+            ++tasksLeft[traceKeyOf(task.front())];
+
+    auto runTask = [&](const std::vector<std::size_t> &cells) {
+        const std::size_t i = cells.front(); // watchdog + telemetry slot
+        const std::size_t k = cells.size();
         const auto t0 = std::chrono::steady_clock::now();
         const unsigned worker = workerIndex();
         if (telemetry)
             telemetry->beginCell(worker, i);
 
-        CellExecution exec;
+        std::vector<CellExecution> execs(k);
         if (graceful_ && shutdownRequested()) {
             // Drain: cells that never started are marked Canceled so
             // the journal keeps only finished work and a --resume
             // picks them up where the signal cut the sweep short.
-            exec.outcome.ok = false;
-            exec.outcome.attempts = 0;
-            exec.outcome.error = makeError(
-                ErrorCode::Canceled, "cell " + std::to_string(i),
-                "shutdown requested before cell ", i, " started");
+            for (std::size_t c = 0; c < k; ++c) {
+                execs[c].outcome.ok = false;
+                execs[c].outcome.attempts = 0;
+                execs[c].outcome.error = makeError(
+                    ErrorCode::Canceled,
+                    "cell " + std::to_string(cells[c]),
+                    "shutdown requested before cell ", cells[c],
+                    " started");
+            }
         } else {
             CellRunner::Hooks extra;
             if (telemetry) {
@@ -893,16 +1135,19 @@ SweepRunner::run(const SweepSpec &spec) const
                 };
             }
             if (cancelPoll) {
+                // A fused group runs K cells' work in one attempt, so
+                // its watchdog budget is K per-cell budgets.
+                const double budget = cellTimeoutSeconds_ * double(k);
                 extra.cancel = &cancels[i];
-                extra.onAttempt = [&, i] {
+                extra.onAttempt = [&, i, budget] {
                     cancels[i].store(false, std::memory_order_release);
                     if (watch)
                         deadlines[i].store(
-                            nowNs() + static_cast<std::int64_t>(
-                                          cellTimeoutSeconds_ * 1e9),
+                            nowNs() + static_cast<std::int64_t>(budget *
+                                                                1e9),
                             std::memory_order_release);
                 };
-                extra.classify = [&, i](Error &err) {
+                extra.classify = [&, i, k, budget](Error &err) {
                     if (watch)
                         deadlines[i].store(0, std::memory_order_release);
                     // A shutdown-tripped token keeps its Canceled
@@ -911,46 +1156,73 @@ SweepRunner::run(const SweepSpec &spec) const
                     if (graceful_ && shutdownRequested())
                         return;
                     if (watch &&
-                        cancels[i].load(std::memory_order_acquire))
-                        err = makeError(
-                            ErrorCode::Timeout,
-                            "cell " + std::to_string(i), "cell ", i,
-                            " exceeded its ", cellTimeoutSeconds_,
-                            "s wall-clock budget and was canceled");
+                        cancels[i].load(std::memory_order_acquire)) {
+                        if (k == 1)
+                            err = makeError(
+                                ErrorCode::Timeout,
+                                "cell " + std::to_string(i), "cell ", i,
+                                " exceeded its ", cellTimeoutSeconds_,
+                                "s wall-clock budget and was canceled");
+                        else
+                            err = makeError(
+                                ErrorCode::Timeout,
+                                "cell " + std::to_string(i), "fused group of ",
+                                k, " cells from cell ", i,
+                                " exceeded its ", budget,
+                                "s wall-clock budget and was canceled");
+                    }
                 };
             }
-            exec = cellRunner.run(i, extra);
+            if (k == 1)
+                execs[0] = cellRunner.run(i, extra);
+            else
+                execs = cellRunner.runGroup(cells, extra);
             if (watch)
                 deadlines[i].store(0, std::memory_order_release);
         }
+        for (std::size_t c = 0; c < k; ++c) {
+            const std::size_t flat = cells[c];
+            CellExecution &exec = execs[c];
+            if (obs_.interval)
+                summaries[flat] = exec.summary;
+            if (wantLatency)
+                lats[flat] = std::move(exec.latency);
+            results[flat] = std::move(exec.results);
+            outcomes[flat] = std::move(exec.outcome);
+            if (outcomes[flat].ok && journal)
+                journal->record(flat, results[flat]);
+            if (telemetry)
+                telemetry->endCell(worker, outcomes[flat].ok);
+        }
 
-        if (obs_.interval)
-            summaries[i] = exec.summary;
-        if (wantLatency)
-            lats[i] = std::move(exec.latency);
-        results[i] = std::move(exec.results);
-        outcomes[i] = std::move(exec.outcome);
-        if (outcomes[i].ok && journal)
-            journal->record(i, results[i]);
-
-        if (telemetry)
-            telemetry->endCell(worker, outcomes[i].ok);
-
+        // A group's wall time splits evenly across its cells: K
+        // back-to-back slices that tile the group's interval.
         const auto t1 = std::chrono::steady_clock::now();
-        CellTiming &t = timings[i];
-        t.startSeconds =
+        const double start =
             std::chrono::duration<double>(t0 - sweepStart).count();
-        t.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-        t.worker = worker;
-        t.instrsPerSec = outcomes[i].ok && t.wallSeconds > 0
-                             ? static_cast<double>(executed) /
-                                   t.wallSeconds
-                             : 0.0;
+        const double wall =
+            std::chrono::duration<double>(t1 - t0).count() / double(k);
+        for (std::size_t c = 0; c < k; ++c) {
+            CellTiming &t = timings[cells[c]];
+            t.startSeconds = start + wall * double(c);
+            t.wallSeconds = wall;
+            t.worker = worker;
+            t.instrsPerSec = outcomes[cells[c]].ok && wall > 0
+                                 ? static_cast<double>(executed) / wall
+                                 : 0.0;
+        }
+
+        if (traceCache) {
+            const TraceKey key = traceKeyOf(i);
+            std::lock_guard<std::mutex> lock(tasksLeftMutex);
+            if (--tasksLeft[key] == 0)
+                traceCache->release(key.first, key.second, executed);
+        }
     };
 
     try {
-        map(pending.size(), [&](std::size_t k) {
-            runCell(pending[k]);
+        map(tasks.size(), [&](std::size_t t) {
+            runTask(tasks[t]);
             return 0;
         });
     } catch (...) {

@@ -654,6 +654,25 @@ class CellRunner
     CellExecution run(std::size_t flat) const;
     CellExecution run(std::size_t flat, const Hooks &extra) const;
 
+    /**
+     * True when this runner's policy lets cells fuse: no event log,
+     * interval sampler or latency collector (so no stats dump and no
+     * audit), and no injected faults, whose streams are keyed per cell.
+     */
+    bool fuses() const;
+
+    /**
+     * Run the cells @p flats as one fused replay (runFused()): one
+     * trace, one translation run, one cache hierarchy per cell. Their
+     * configs must differ only in caches(), their organization must
+     * not read cache state, and fuses() must hold. Retries, cancel and
+     * progress act on the whole group, so every cell gets the same
+     * outcome; each successful cell's Results equal run() of that
+     * cell alone.
+     */
+    std::vector<CellExecution> runGroup(const std::vector<std::size_t> &flats,
+                                        const Hooks &extra) const;
+
   private:
     const SweepSpec &spec_;
     const ObsOptions &obs_;
@@ -837,6 +856,25 @@ class SweepRunner
     bool verify_ = false;           ///< audit each cell's Results
     bool graceful_ = false;         ///< drain on SIGINT/SIGTERM
 };
+
+/**
+ * How SweepRunner dispatches @p pending (grid-ordered) cells of
+ * @p spec: tasks in dispatch order, each one cell or a fused group's
+ * chunk (cells in grid order). With @p fuse set, pending cells whose
+ * configs differ only in caches() — same workload, and an organization
+ * that does not read cache state (kindReadsCacheState()) — group
+ * together. Each group splits into chunks whose tag arrays together
+ * take no more bytes than the recording they replay, and the largest
+ * chunks split further until there are at least 2 x @p jobs tasks.
+ * When any chunk holds more than one cell, tasks go one trace key
+ * (workload, seed) at a time, fused chunks before solo cells;
+ * otherwise — and always without @p fuse — every cell is its own task,
+ * in grid order.
+ */
+std::vector<std::vector<std::size_t>>
+planSweepTasks(const SweepSpec &spec,
+               const std::vector<std::size_t> &pending, bool fuse,
+               unsigned jobs);
 
 /**
  * Order-independent digest of a spec's materialized cells (workloads,

@@ -16,6 +16,7 @@
 #define VMSIM_MEM_MEM_SYSTEM_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "base/types.hh"
@@ -184,6 +185,48 @@ class MemSystem
     Cache *l2dPtr_; ///< &l2dOwn_ or &l2i_ when unified
     MemSystemStats stats_;
     Counter stores_ = 0;
+};
+
+/**
+ * K cache hierarchies driven as one memory sink: every access goes to
+ * each of them, in order. A fused sweep group (docs/sweeps.md) hands
+ * this to the bare reference kernels in place of a single MemSystem;
+ * both types offer the same two calls, so the kernels are written once
+ * and instantiated per sink type. The reported level is the first
+ * hierarchy's: only an organization that reads cache state would act
+ * on it, and such an organization never runs fused.
+ */
+class MemFanout
+{
+  public:
+    /** @param mems @p n >= 1 hierarchies (not owned). */
+    MemFanout(MemSystem *const *mems, std::size_t n)
+        : mems_(mems), n_(n)
+    {}
+
+    // LINT-KERNEL-BEGIN (cache)
+    MemLevel
+    instFetch(Addr pc, AccessClass cls)
+    {
+        const MemLevel lvl = mems_[0]->instFetch(pc, cls);
+        for (std::size_t k = 1; k < n_; ++k)
+            mems_[k]->instFetch(pc, cls);
+        return lvl;
+    }
+
+    MemLevel
+    dataAccess(Addr addr, unsigned size, bool store, AccessClass cls)
+    {
+        const MemLevel lvl = mems_[0]->dataAccess(addr, size, store, cls);
+        for (std::size_t k = 1; k < n_; ++k)
+            mems_[k]->dataAccess(addr, size, store, cls);
+        return lvl;
+    }
+    // LINT-KERNEL-END (cache)
+
+  private:
+    MemSystem *const *mems_;
+    std::size_t n_;
 };
 
 } // namespace vmsim

@@ -28,18 +28,18 @@ class BaseVm : public VmSystem
     void refBlock(const AccessBlock &blk) override { refBlockFor(*this, blk); }
 
     /** Monomorphized kernels: the whole reference is the cache probe. */
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    instRefK(const Access &a, NoLane)
+    instRefK(const Access &a, NoLane, Mem &mem)
     {
-        userInstFetchT<kObs>(a.addr);
+        userInstFetchT<kObs>(mem, a.addr);
     }
 
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    dataRefK(const Access &a, NoLane)
+    dataRefK(const Access &a, NoLane, Mem &mem)
     {
-        userDataAccessT<kObs>(a.addr, a.store);
+        userDataAccessT<kObs>(mem, a.addr, a.store);
     }
 };
 

@@ -36,19 +36,19 @@ class NotlbVm : public VmSystem
      * Monomorphized kernels for the batched loop: the handler runs
      * only on an L2 miss, so the hot path is the bare cache probe.
      */
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    instRefK(const Access &a, NoLane)
+    instRefK(const Access &a, NoLane, Mem &mem)
     {
-        if (userInstFetchT<kObs>(a.addr) == MemLevel::Memory)
+        if (userInstFetchT<kObs>(mem, a.addr) == MemLevel::Memory)
             missHandler(a.addr);
     }
 
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    dataRefK(const Access &a, NoLane)
+    dataRefK(const Access &a, NoLane, Mem &mem)
     {
-        if (userDataAccessT<kObs>(a.addr, a.store) == MemLevel::Memory)
+        if (userDataAccessT<kObs>(mem, a.addr, a.store) == MemLevel::Memory)
             missHandler(a.addr);
         notePressureStore(a.addr, a.store);
     }

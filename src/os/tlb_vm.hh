@@ -71,11 +71,11 @@ class TlbVm : public VmSystem
     /**
      * Monomorphized instruction-fetch kernel: probe the lane's I-TLB,
      * refill via Derived::walk on a miss, then fetch through the I-side
-     * caches.
+     * caches of the memory sink @p mem.
      */
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    instRefK(const Access &a, Lane lane)
+    instRefK(const Access &a, Lane lane, Mem &mem)
     {
         const Addr pc = a.addr;
         const Vpn v = pc >> pageBits_;
@@ -84,13 +84,13 @@ class TlbVm : public VmSystem
             self().walk(pc, a.core, lane.itlb);
             endMissService();
         }
-        userInstFetchT<kObs>(pc);
+        userInstFetchT<kObs>(mem, pc);
     }
 
     /** The data-side twin of instRefK(). */
-    template <bool kObs>
+    template <bool kObs, class Mem>
     void
-    dataRefK(const Access &a, Lane lane)
+    dataRefK(const Access &a, Lane lane, Mem &mem)
     {
         const Addr addr = a.addr;
         const Vpn v = addr >> pageBits_;
@@ -99,7 +99,7 @@ class TlbVm : public VmSystem
             self().walk(addr, a.core, lane.dtlb);
             endMissService();
         }
-        userDataAccessT<kObs>(addr, a.store);
+        userDataAccessT<kObs>(mem, addr, a.store);
         notePressureStore(addr, a.store);
     }
 

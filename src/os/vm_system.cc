@@ -6,12 +6,31 @@ namespace vmsim
 {
 
 VmSystem::VmSystem(std::string name, MemSystem &mem, unsigned cores)
-    : name_(std::move(name)), mem_(mem), cores_(cores ? cores : 1)
+    : name_(std::move(name)), mem_(mem), mems_{&mem},
+      cores_(cores ? cores : 1)
 {
     stats_.perCore.assign(cores_, CoreStats{});
 }
 
 VmSystem::~VmSystem() = default;
+
+void
+VmSystem::fanOut(const std::vector<MemSystem *> &extra)
+{
+    panicIf(observedRefs(), "fanOut: observers drive one hierarchy only");
+    mems_.assign(1, &mem_);
+    mems_.insert(mems_.end(), extra.begin(), extra.end());
+}
+
+void
+VmSystem::serviceLoad(Addr addr, unsigned size, AccessClass cls)
+{
+    const MemLevel lvl = mem_.dataAccess(addr, size, false, cls);
+    for (std::size_t k = 1; k < mems_.size(); ++k)
+        mems_[k]->dataAccess(addr, size, false, cls);
+    if (lat_)
+        svcAcc_ += memPenalty(lvl);
+}
 
 void
 VmSystem::attachLatency(LatencyCollector *lat)
@@ -227,6 +246,8 @@ MemLevel
 VmSystem::pteFetch(Addr entry_addr, unsigned size, AccessClass cls, Vpn v)
 {
     MemLevel lvl = mem_.dataAccess(entry_addr, size, false, cls);
+    for (std::size_t k = 1; k < mems_.size(); ++k)
+        mems_[k]->dataAccess(entry_addr, size, false, cls);
     ++stats_.pteLoads;
     if (lat_)
         svcAcc_ += memPenalty(lvl);
@@ -279,6 +300,12 @@ VmSystem::fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v)
             mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
                            AccessClass::HandlerFetch);
     }
+    // A fused group's other hierarchies see the same n fetches. They
+    // are independent of each other, so one after another is exact.
+    for (std::size_t m = 1; m < mems_.size(); ++m)
+        for (unsigned k = 0; k < n; ++k)
+            mems_[m]->instFetch(base + std::uint64_t{k} * kInstrBytes,
+                                AccessClass::HandlerFetch);
     emitEvent(EventKind::HandlerExit, level, base, v, n);
 }
 

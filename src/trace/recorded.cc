@@ -248,6 +248,17 @@ TraceCache::acquire(const std::string &workload, std::uint64_t seed,
     return future.get();
 }
 
+void
+TraceCache::release(const std::string &workload, std::uint64_t seed,
+                    Counter records)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (entries_.erase(Key{workload, seed, records}) == 0)
+        return;
+    used_ -= records * sizeof(TraceRecord);
+    stats_.bytes = used_;
+}
+
 TraceCacheStats
 TraceCache::stats() const
 {

@@ -185,6 +185,15 @@ class TraceCache
     acquire(const std::string &workload, std::uint64_t seed,
             Counter records);
 
+    /**
+     * Forget the recording of (@p workload, @p seed, @p records) and
+     * return its bytes to the budget. Cursors still replaying it keep
+     * it alive until they finish; a later acquire() records it again.
+     * No-op for a key the cache does not hold.
+     */
+    void release(const std::string &workload, std::uint64_t seed,
+                 Counter records);
+
     std::size_t budgetBytes() const { return budget_; }
 
     TraceCacheStats stats() const;
